@@ -297,7 +297,12 @@ def parse_channel(obj) -> MacWiretapKernel:
 def load_channel(path) -> MacWiretapKernel:
     """Load a channel from a JSON file; errors carry file position or row index."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"{path}: not valid UTF-8 at byte offset {exc.start}: {exc.reason}"
+            ) from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -109,33 +109,29 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(lower: int):
+    """argparse type: an integer no smaller than ``lower``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < lower:
+            raise argparse.ArgumentTypeError(f"must be at least {lower}, got {value}")
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
-
-
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default="csv",
-        help="output file format (default: csv)",
-    )
+def _add_output_flags(parser: argparse.ArgumentParser, with_format: bool = True) -> None:
+    if with_format:
+        parser.add_argument(
+            "--format",
+            choices=("csv", "json"),
+            default="csv",
+            help="output file format (default: csv)",
+        )
     parser.add_argument(
         "--output-dir",
         default=None,
@@ -167,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of %s" % ",".join(_GAUSSIAN_BOUNDS),
     )
     gauss.add_argument(
-        "--samples", type=_positive_int, default=101, help="boundary samples per region (default: 101)"
+        "--samples", type=_int_at_least(1), default=101, help="boundary samples per region (default: 101)"
     )
     _add_output_flags(gauss)
     gauss.set_defaults(handler=_cmd_region_gaussian)
@@ -180,24 +176,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of %s" % ",".join(_DISCRETE_BOUNDS),
     )
     disc.add_argument(
-        "--samples", type=_positive_int, default=101, help="boundary samples per region (default: 101)"
+        "--samples", type=_int_at_least(1), default=101, help="boundary samples per region (default: 101)"
     )
-    disc.add_argument("--seed", type=_nonnegative_int, default=0, help="search seed (default: 0)")
+    disc.add_argument("--seed", type=_int_at_least(0), default=0, help="search seed (default: 0)")
     disc.add_argument(
-        "--umax", type=_positive_int, default=4, help="largest auxiliary cardinality (default: 4)"
-    )
-    disc.add_argument(
-        "--restarts", type=_positive_int, default=64, help="random restarts per objective (default: 64)"
+        "--umax", type=_int_at_least(1), default=4, help="largest auxiliary cardinality (default: 4)"
     )
     disc.add_argument(
-        "--iterations", type=_positive_int, default=200, help="ascent sweeps per restart (default: 200)"
+        "--restarts", type=_int_at_least(1), default=64, help="random restarts per objective (default: 64)"
+    )
+    disc.add_argument(
+        "--iterations", type=_int_at_least(1), default=200, help="ascent sweeps per restart (default: 200)"
     )
     _add_output_flags(disc)
     disc.set_defaults(handler=_cmd_region_discrete)
 
     psweep = sub.add_parser("powersweep", help="tabulate the optimal power allocation over a cap grid")
     psweep.add_argument("--pmax", type=_finite_float, required=True, help="largest power cap")
-    psweep.add_argument("--steps", type=_positive_int, required=True, help="number of caps in [0, pmax]")
+    psweep.add_argument("--steps", type=_int_at_least(1), required=True, help="number of caps in [0, pmax]")
     psweep.add_argument("--sigma1sq", type=_finite_float, required=True, help="main-channel noise variance")
     psweep.add_argument("--sigma2sq", type=_finite_float, required=True, help="eavesdropper noise variance")
     _add_output_flags(psweep)
@@ -214,11 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="preset number",
     )
-    fig.add_argument(
-        "--output-dir",
-        default=None,
-        help="directory for output files (default: $%s or the current directory)" % OUTPUT_DIR_ENV,
-    )
+    _add_output_flags(fig, with_format=False)
     fig.set_defaults(handler=_cmd_figure)
 
     fmv = sub.add_parser(
@@ -226,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the eliminated rate-splitting system against the closed-form region",
     )
     fmv.add_argument(
-        "--samples", type=_positive_int, required=True, help="number of random rational instances"
+        "--samples", type=_int_at_least(1), required=True, help="number of random rational instances"
     )
-    fmv.add_argument("--seed", type=_nonnegative_int, default=0, help="sampling seed (default: 0)")
+    fmv.add_argument("--seed", type=_int_at_least(0), default=0, help="sampling seed (default: 0)")
     fmv.add_argument(
         "--dump",
         action="store_true",

@@ -51,36 +51,35 @@ _INNER_STREAM = 1
 _OUTER_STREAM = 2
 _SINGLE_STREAM = 3
 
-_BOUND_KINDS = ("df", "hybrid")
+# Ascent schedule: the simplex step starts at _INITIAL_STEP and is multiplied
+# by _STEP_DECAY after every _DECAY_PATIENCE consecutive sweeps without
+# improvement; a restart stops once three patience windows pass without
+# progress.
+_INITIAL_STEP = 0.25
+_STEP_DECAY = 0.5
+_DECAY_PATIENCE = 25
 
 
 @dataclasses.dataclass(frozen=True)
 class SearchConfig:
     """Knobs of the seeded multi-start ascent.
 
+    ``u_cardinality_max`` bounds the auxiliary alphabet of the inner
+    searches, every objective gets ``restarts`` seeded restarts, and
     ``refinement_iterations`` caps the number of full coordinate sweeps per
-    restart.  The simplex step starts at ``initial_step`` and is multiplied
-    by ``step_decay`` after every ``decay_patience`` consecutive sweeps
-    without improvement; a restart stops early once three patience windows
-    pass without progress.
+    restart.  The step schedule within a restart is fixed by the module
+    constants ``_INITIAL_STEP``, ``_STEP_DECAY`` and ``_DECAY_PATIENCE``.
     """
 
     u_cardinality_max: int = 4
     restarts: int = 64
     refinement_iterations: int = 200
     seed: int = 0
-    initial_step: float = 0.25
-    step_decay: float = 0.5
-    decay_patience: int = 25
 
     def __post_init__(self):
-        for name in ("u_cardinality_max", "restarts", "refinement_iterations", "decay_patience"):
+        for name in ("u_cardinality_max", "restarts", "refinement_iterations"):
             if getattr(self, name) < 1:
                 raise ValidationError("%s must be at least 1" % name)
-        if not 0.0 < self.initial_step:
-            raise ValidationError("initial_step must be positive")
-        if not 0.0 < self.step_decay < 1.0:
-            raise ValidationError("step_decay must lie in (0, 1)")
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
 
@@ -88,10 +87,10 @@ class SearchConfig:
 @dataclasses.dataclass(frozen=True)
 class InnerSearchResult:
     """Nondominated input laws found by the search, their regions, and the
-    convex hull of the union (time-sharing closure) when requested."""
+    convex hull of the union (time-sharing closure)."""
 
     candidates: tuple[tuple[InputFactorization, RateRegion], ...]
-    hull: RateRegion | None
+    hull: RateRegion
 
 
 # --- per-distribution regions ---------------------------------------------------
@@ -100,26 +99,14 @@ class InnerSearchResult:
 def df_region_for_input(q: InfoQuantities) -> RateRegion:
     """Decode-and-forward inner region of one input law:
     R1 <= a, R2 <= b, R1 + R2 <= min(c, a + b) - d."""
-    return region_from_halfspaces(
-        [
-            Halfspace(1.0, 0.0, q.a),
-            Halfspace(0.0, 1.0, q.b),
-            Halfspace(1.0, 1.0, min(q.c, q.a + q.b) - q.d),
-        ]
-    )
+    return _region_with_sum(q, _df_sum)
 
 
 def hybrid_region_for_input(q: InfoQuantities) -> RateRegion:
     """Hybrid inner region of one input law: the decode-and-forward shape
     with the leakage debit partially refunded by the feedback key,
     R1 + R2 <= min(c, a + b) - d + min(d, e)."""
-    return region_from_halfspaces(
-        [
-            Halfspace(1.0, 0.0, q.a),
-            Halfspace(0.0, 1.0, q.b),
-            Halfspace(1.0, 1.0, min(q.c, q.a + q.b) - q.d + min(q.d, q.e)),
-        ]
-    )
+    return _region_with_sum(q, _hybrid_sum)
 
 
 def sato_outer_for_joint(kernel: MacWiretapKernel, joint_input: np.ndarray) -> float:
@@ -139,22 +126,21 @@ def search_inner(
     kernel: MacWiretapKernel,
     bound_kind: str,
     config: SearchConfig = SearchConfig(),
-    include_hull: bool = True,
 ) -> InnerSearchResult:
     """Search factorized input laws maximizing an inner bound.
 
     For every auxiliary cardinality up to the configured maximum, three
     objectives are maximized separately (the sum bound and the two corner
     rates), each with seeded random restarts around a uniform start.  The
-    distinct local maxima are reduced to the nondominated set; the hull of
-    their union is included unless ``include_hull`` is false.
+    distinct local maxima are reduced to the nondominated set, and the hull
+    of their union is the time-sharing region.
     """
     if bound_kind not in _BOUND_KINDS:
         raise ValidationError(
             "bound_kind must be one of %s, got %r" % (list(_BOUND_KINDS), bound_kind)
         )
     kind_id = _BOUND_KINDS.index(bound_kind)
-    sum_score = _df_sum if bound_kind == "df" else _hybrid_sum
+    sum_score, region_of = _BOUNDS[bound_kind]
     scores: list[Callable] = [
         sum_score,
         lambda a, b, c, d, e: min(a, sum_score(a, b, c, d, e)),
@@ -165,31 +151,22 @@ def search_inner(
     found: list[tuple[InputFactorization, RateRegion]] = []
     for u_size in range(1, config.u_cardinality_max + 1):
         for score_id, score in enumerate(scores):
-            best_value = -math.inf
-            best_rows = None
-            for restart in range(config.restarts):
-                rows = _initial_rows(
-                    [u_size] + [n1] * u_size + [n2] * u_size,
-                    restart,
-                    np.random.default_rng(
-                        (config.seed, _INNER_STREAM, kind_id, u_size, score_id, restart)
-                    ),
-                )
-                objective = _factorized_objective(w, u_size, score)
-                value = _ascend(rows, objective, config)
-                if value > best_value:
-                    best_value = value
-                    best_rows = rows
+            _, best_rows = _best_of_restarts(
+                [u_size] + [n1] * u_size + [n2] * u_size,
+                (_INNER_STREAM, kind_id, u_size, score_id),
+                _factorized_objective(w, u_size, score),
+                config,
+            )
             fact = InputFactorization(
                 best_rows[0],
                 np.stack(best_rows[1 : 1 + u_size]),
                 np.stack(best_rows[1 + u_size :]),
             )
-            region_of = df_region_for_input if bound_kind == "df" else hybrid_region_for_input
             found.append((fact, region_of(info_quantities(kernel, fact))))
     kept = _nondominated(found)
-    hull = hull_of_regions([region for _, region in kept]) if include_hull else None
-    return InnerSearchResult(candidates=tuple(kept), hull=hull)
+    return InnerSearchResult(
+        candidates=tuple(kept), hull=hull_of_regions([region for _, region in kept])
+    )
 
 
 def search_outer(
@@ -209,16 +186,7 @@ def search_outer(
         p_yz = np.einsum("q,qyz->yz", rows[0], w.reshape(n1 * n2, kernel.y_size, kernel.z_size))
         return _entropy_bits(p_yz) - _entropy_bits(p_yz.sum(axis=0))
 
-    best_value = -math.inf
-    best_rows = None
-    for restart in range(config.restarts):
-        rows = _initial_rows(
-            [n1 * n2], restart, np.random.default_rng((config.seed, _OUTER_STREAM, restart))
-        )
-        value = _ascend(rows, objective, config)
-        if value > best_value:
-            best_value = value
-            best_rows = rows
+    _, best_rows = _best_of_restarts([n1 * n2], (_OUTER_STREAM,), objective, config)
     joint = JointDist(best_rows[0].reshape(n1, n2))
     return joint, sato_outer_for_joint(kernel, np.asarray(joint.mass))
 
@@ -258,6 +226,25 @@ def _df_sum(a: float, b: float, c: float, d: float, e: float) -> float:
 
 def _hybrid_sum(a: float, b: float, c: float, d: float, e: float) -> float:
     return min(c, a + b) - d + min(d, e)
+
+
+def _region_with_sum(q: InfoQuantities, sum_bound: Callable) -> RateRegion:
+    return region_from_halfspaces(
+        [
+            Halfspace(1.0, 0.0, q.a),
+            Halfspace(0.0, 1.0, q.b),
+            Halfspace(1.0, 1.0, sum_bound(q.a, q.b, q.c, q.d, q.e)),
+        ]
+    )
+
+
+# Per inner bound: its sum-rate formula and its per-input region.
+_BOUNDS = {
+    "df": (_df_sum, df_region_for_input),
+    "hybrid": (_hybrid_sum, hybrid_region_for_input),
+}
+# A bound's index here is part of its RNG stream key.
+_BOUND_KINDS = tuple(_BOUNDS)
 
 
 def _entropy_bits(mass: np.ndarray) -> float:
@@ -328,15 +315,32 @@ def _single_user_search(kernel: WiretapKernel, config: SearchConfig, score: Call
         h_y_given_xz = _clamp(_entropy_bits(p_xyz) - _entropy_bits(p_xz))
         return score(i_xy, i_xz, h_y_given_xz)
 
-    best = -math.inf
+    best, _ = _best_of_restarts([kernel.x_size], (_SINGLE_STREAM,), objective, config)
+    return best
+
+
+def _best_of_restarts(
+    sizes: Sequence[int],
+    stream: tuple[int, ...],
+    objective: Callable[[list[np.ndarray]], float],
+    config: SearchConfig,
+) -> tuple[float, list[np.ndarray]]:
+    """Best value and rows over the seeded restarts of one objective.
+
+    Restart ``r`` draws from the generator keyed ``(seed, *stream, r)``, so
+    it does not depend on how many restarts run; ties keep the earlier one.
+    """
+    best_value = -math.inf
+    best_rows = None
     for restart in range(config.restarts):
         rows = _initial_rows(
-            [kernel.x_size],
-            restart,
-            np.random.default_rng((config.seed, _SINGLE_STREAM, restart)),
+            sizes, restart, np.random.default_rng((config.seed, *stream, restart))
         )
-        best = max(best, _ascend(rows, objective, config))
-    return best
+        value = _ascend(rows, objective, config)
+        if value > best_value:
+            best_value = value
+            best_rows = rows
+    return best_value, best_rows
 
 
 def _initial_rows(sizes: Sequence[int], restart: int, rng) -> list[np.ndarray]:
@@ -355,7 +359,7 @@ def _ascend(
     greedily.  Deterministic: no randomness beyond the initial rows.
     """
     best = objective(rows)
-    step = config.initial_step
+    step = _INITIAL_STEP
     stalled = 0
     for _ in range(config.refinement_iterations):
         improved = False
@@ -380,10 +384,10 @@ def _ascend(
             stalled = 0
             continue
         stalled += 1
-        if stalled >= 3 * config.decay_patience:
+        if stalled >= 3 * _DECAY_PATIENCE:
             break
-        if stalled % config.decay_patience == 0:
-            step *= config.step_decay
+        if stalled % _DECAY_PATIENCE == 0:
+            step *= _STEP_DECAY
     return best
 
 

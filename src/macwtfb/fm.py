@@ -28,7 +28,13 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .info import ValidationError
-from .regions import Halfspace, RateRegion, region_from_halfspaces
+from .regions import (
+    Halfspace,
+    RateRegion,
+    _hull_ccw,
+    _intersection_candidates,
+    region_from_halfspaces,
+)
 
 __all__ = [
     "LinearSystem",
@@ -211,10 +217,7 @@ def rate_splitting_system(a, b, c, d, e) -> LinearSystem:
     parts must cover the leakage left uncovered by the feedback key, whose
     rate is at most e.
     """
-    consts = [as_rational(v) for v in (a, b, c, d, e)]
-    if any(v < 0 for v in consts):
-        raise ValidationError("information quantities must be nonnegative")
-    a, b, c, d, e = consts
+    a, b, c, d, e = _information_constants(a, b, c, d, e)
 
     def vec(**weights) -> list[int]:
         return [weights.get(name, 0) for name in RATE_SPLIT_VARIABLES]
@@ -239,10 +242,7 @@ def hybrid_closed_form_system(a, b, c, d, e) -> LinearSystem:
     """The closed-form hybrid region as a two-variable system:
     R1 <= a, R2 <= b, R1 + R2 <= min(c, a + b) - d + min(d, e), both
     rates nonnegative."""
-    consts = [as_rational(v) for v in (a, b, c, d, e)]
-    if any(v < 0 for v in consts):
-        raise ValidationError("information quantities must be nonnegative")
-    a, b, c, d, e = consts
+    a, b, c, d, e = _information_constants(a, b, c, d, e)
     sum_bound = min(c, a + b) - d + min(d, e)
     return LinearSystem(
         ("R1", "R2"),
@@ -274,24 +274,14 @@ def exact_vertices(system: LinearSystem) -> tuple[tuple[Fraction, Fraction], ...
     if system.is_infeasible:
         return ()
     rows = system.rows
-    points = set()
-    for i in range(len(rows)):
-        (a1, a2), b1 = rows[i]
-        for j in range(i + 1, len(rows)):
-            (c1, c2), b2 = rows[j]
-            det = a1 * c2 - a2 * c1
-            if det == 0:
-                continue
-            x = Fraction(b1 * c2 - b2 * a2, det)
-            y = Fraction(a1 * b2 - c1 * b1, det)
-            points.add((x, y))
+    points = set(_intersection_candidates([(c1, c2, b) for (c1, c2), b in rows], 0))
     feasible = [
         p for p in points
         if all(c[0] * p[0] + c[1] * p[1] <= b for c, b in rows)
     ]
     if not feasible:
         return ()
-    return _hull(feasible)
+    return tuple(_hull_ccw(feasible, 0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -335,6 +325,13 @@ def verify_hybrid_region_projection(a, b, c, d, e) -> ProjectionCheck:
 # --- internals ----------------------------------------------------------------
 
 
+def _information_constants(*values) -> list[Fraction]:
+    consts = [as_rational(v) for v in values]
+    if any(v < 0 for v in consts):
+        raise ValidationError("information quantities must be nonnegative")
+    return consts
+
+
 def _canonical_row(coeffs: Sequence[Fraction], bound: Fraction) -> Row:
     scale = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
     ints = tuple(int(c * scale) for c in coeffs)
@@ -360,27 +357,6 @@ def _normalize(num_variables: int, rows: Iterable[Row]) -> tuple[Row, ...]:
         if held is None or bound < held:
             merged[coeffs] = bound
     return tuple(sorted(merged.items()))
-
-
-def _hull(points: list[tuple[Fraction, Fraction]]) -> tuple[tuple[Fraction, Fraction], ...]:
-    pts = sorted(set(points))
-    if len(pts) == 1:
-        return (pts[0],)
-
-    def cross(o, p, q):
-        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return tuple(lower[:-1] + upper[:-1])
 
 
 def _to_rate_region(system: LinearSystem) -> RateRegion:

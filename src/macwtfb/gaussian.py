@@ -8,9 +8,11 @@ channel capacity and the sum by the main-minus-eavesdropper sum capacity
 difference. The hybrid region adds the secret-key gain
 min{ h(N1), 1/2 log2(1 + (p1+p2)/sigma2_sq) } to the sum cap, where h(N1) is
 the differential entropy of the main noise; both closed forms are evaluated
-at the full-power, fully-correlated-auxiliary operating point, which is where
-they are maximized. The outer bound caps the secret sum rate through the
-conditional entropy h(Y|Z) of jointly Gaussian outputs.
+at the full-power, fully-correlated-auxiliary operating point. Full power does
+not always maximize them: when sigma1_sq > sigma2_sq the hybrid sum cap peaks
+at a finite total power (see power.optimal_power). The outer bound caps the
+secret sum rate through the conditional entropy h(Y|Z) of jointly Gaussian
+outputs.
 """
 
 from __future__ import annotations

@@ -96,7 +96,7 @@ def optimal_power(power_cap: float, g: GaussianMacWt) -> PowerControlResult:
     _check_domain(g)
     if power_cap < 0.0:
         raise ValidationError("power cap must be nonnegative, got %g" % power_cap)
-    threshold = 0.5 * (TWO_PI_E * g.sigma1_sq - 1.0) * g.sigma2_sq
+    threshold = saturation_threshold(g)
     regime = ABOVE_THRESHOLD if power_cap >= threshold else BELOW_THRESHOLD
     if g.sigma1_sq > g.sigma2_sq and power_cap >= threshold:
         rate = 0.5 * math.log2(

@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 from .info import ValidationError
 
 TOL = 1e-9
+# Line pairs whose determinant is this close to zero count as parallel.
+_DET_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,15 +126,20 @@ def _recession_direction(rows) -> tuple[float, float] | None:
     return None
 
 
-def _intersection_candidates(rows) -> list[tuple[float, float]]:
-    lines = list(rows) + [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
+def _intersection_candidates(lines, det_tol=_DET_TOL) -> list[tuple]:
+    """Pairwise intersections of the lines c1*x + c2*y = b, in pair order.
+
+    Generic over the number type: pairs whose determinant is within
+    ``det_tol`` of zero are skipped, so ``det_tol=0`` with integer
+    coefficients and ``Fraction`` bounds gives exact rational points.
+    """
     pts = []
     for i in range(len(lines)):
         a1, a2, b1 = lines[i]
         for j in range(i + 1, len(lines)):
             c1, c2, b2 = lines[j]
             det = a1 * c2 - a2 * c1
-            if abs(det) <= 1e-12:
+            if abs(det) <= det_tol:
                 continue
             pts.append(((b1 * c2 - b2 * a2) / det, (a1 * b2 - b1 * c1) / det))
     return pts
@@ -157,16 +164,17 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _hull_ccw(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
+def _hull_ccw(points: list[tuple], tol=TOL) -> list[tuple]:
     """Monotone-chain convex hull, counterclockwise from the lexicographic min.
 
-    Collinear intermediate points are removed.
+    Collinear intermediate points are removed; a turn counts as collinear
+    within ``tol`` times the point extent.  With ``tol=0`` the hull of
+    ``Fraction`` points is exact.
     """
     pts = sorted(points)
     if len(pts) <= 2:
         return pts
-    extent = max(max(abs(p[0]), abs(p[1])) for p in pts)
-    eps = TOL * max(1.0, extent)
+    eps = tol * max(1.0, max(max(abs(p[0]), abs(p[1])) for p in pts)) if tol else 0
 
     def build(seq):
         chain = []
@@ -193,7 +201,8 @@ def region_from_halfspaces(halfspaces: Iterable) -> RateRegion:
     if infeasible:
         return _degenerate()
 
-    candidates = [p for p in _intersection_candidates(rows) if _feasible(p, rows)]
+    lines = rows + [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
+    candidates = [p for p in _intersection_candidates(lines) if _feasible(p, rows)]
     if not candidates:
         return _degenerate()
 

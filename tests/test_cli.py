@@ -140,6 +140,15 @@ def test_region_discrete_malformed_channel_reports_line(tmp_path, capsys):
     assert "line 3" in err and "bad.json" in err
 
 
+def test_region_discrete_non_utf8_channel_reports_byte_offset(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"x1_size": \xff2}')
+    code = main(["region", "discrete", "--channel", str(bad), "--bounds", "df", "--output-dir", str(tmp_path)])
+    assert code == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert "error:" in err and "bad.json" in err and "byte offset 12" in err
+
+
 def test_region_discrete_missing_channel_file(tmp_path, capsys):
     code = main(
         ["region", "discrete", "--channel", str(tmp_path / "nope.json"), "--bounds", "df", "--output-dir", str(tmp_path)]

@@ -19,6 +19,7 @@ from macwtfb.fm import (
     verify_hybrid_region_projection,
 )
 from macwtfb.info import ValidationError
+from macwtfb.regions import region_from_halfspaces
 
 rationals = st.fractions(min_value=0, max_value=4, max_denominator=64)
 
@@ -275,3 +276,22 @@ def test_exact_vertices_requires_two_variables():
     s = LinearSystem(("x",), [((1,), "<=", 1)])
     with pytest.raises(ValidationError):
         exact_vertices(s)
+
+
+small_rows = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 6)), max_size=4
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_rows, st.integers(1, 3), st.integers(1, 3), st.integers(0, 6))
+def test_exact_vertices_agree_with_float_region(rows, cap1, cap2, cap_bound):
+    # Nonnegative bounds keep the origin feasible; the positive cap row and
+    # the quadrant keep the polygon bounded.
+    rows = rows + [(cap1, cap2, cap_bound), (-1, 0, 0), (0, -1, 0)]
+    system = LinearSystem(("R1", "R2"), [((c1, c2), "<=", b) for c1, c2, b in rows])
+    exact = [(float(x), float(y)) for x, y in exact_vertices(system)]
+    floats = region_from_halfspaces(rows).vertices
+    assert len(exact) == len(floats)
+    for (ex, ey), (fx, fy) in zip(exact, floats):
+        assert ex == pytest.approx(fx, abs=1e-9) and ey == pytest.approx(fy, abs=1e-9)
