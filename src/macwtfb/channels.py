@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .info import (
-    PROB_ATOL,
     JointDist,
     ValidationError,
+    check_mass,
     conditional_entropy,
     mutual_information,
 )
@@ -33,22 +33,8 @@ def _clean_transition(table, n_input_axes: int, what: str) -> np.ndarray:
         raise ValidationError(
             f"{what} must have {expected_ndim} axes (inputs then y then z), got shape {arr.shape}"
         )
-    if min(arr.shape) < 1:
-        raise ValidationError(f"{what} has an empty axis: shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{what} contains non-finite entries")
-    if arr.min() < -PROB_ATOL:
-        idx = np.unravel_index(int(arr.argmin()), arr.shape)
-        raise ValidationError(f"{what} has negative entry {arr.min():.3e} at index {idx}")
-    arr = np.where(arr < 0.0, 0.0, arr)
-    sums = arr.sum(axis=(-2, -1))
-    dev = np.abs(sums - 1.0)
-    if dev.max() > ROW_SUM_ATOL:
-        idx = np.unravel_index(int(dev.argmax()), dev.shape)
-        raise ValidationError(
-            f"{what} row {idx} sums to {sums[idx]!r}, off by more than {ROW_SUM_ATOL:g}"
-        )
-    arr = arr / sums[..., None, None]
+    arr = check_mass(arr, what, sum_axes=(-2, -1), atol=ROW_SUM_ATOL)
+    arr = arr / arr.sum(axis=(-2, -1), keepdims=True)
     arr.flags.writeable = False
     return arr
 
@@ -110,22 +96,6 @@ class WiretapKernel:
         return self.transition.shape[2]
 
 
-def _clean_rows(table, what: str) -> np.ndarray:
-    arr = np.asarray(table, dtype=float)
-    if arr.ndim != 2:
-        raise ValidationError(f"{what} must be 2-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{what} contains non-finite entries")
-    if arr.min() < -PROB_ATOL:
-        raise ValidationError(f"{what} has negative entry {arr.min():.3e}")
-    arr = np.where(arr < 0.0, 0.0, arr)
-    sums = arr.sum(axis=1)
-    if np.abs(sums - 1.0).max() > PROB_ATOL:
-        raise ValidationError(f"{what} rows must sum to 1 within {PROB_ATOL:g}")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class InputFactorization:
     """Input law P(u) P(x1|u) P(x2|u) over a finite auxiliary alphabet."""
@@ -135,24 +105,17 @@ class InputFactorization:
     x2_given_u: np.ndarray   # shape (|U|, |X2|)
 
     def __post_init__(self):
-        u = np.asarray(self.u_dist, dtype=float)
-        if u.ndim != 1 or u.size < 1:
-            raise ValidationError(f"u_dist must be a nonempty vector, got shape {u.shape}")
-        if not np.isfinite(u).all() or u.min() < -PROB_ATOL:
-            raise ValidationError("u_dist entries must be finite and nonnegative")
-        u = np.where(u < 0.0, 0.0, u)
-        if abs(u.sum() - 1.0) > PROB_ATOL:
-            raise ValidationError(f"u_dist must sum to 1 within {PROB_ATOL:g}")
-        u.flags.writeable = False
-        x1 = _clean_rows(self.x1_given_u, "x1_given_u")
-        x2 = _clean_rows(self.x2_given_u, "x2_given_u")
-        if x1.shape[0] != u.size or x2.shape[0] != u.size:
+        u, x1, x2 = (
+            np.asarray(t, dtype=float) for t in (self.u_dist, self.x1_given_u, self.x2_given_u)
+        )
+        if (u.ndim, x1.ndim, x2.ndim) != (1, 2, 2) or not len(u) == len(x1) == len(x2):
             raise ValidationError(
-                f"conditional tables must have {u.size} rows, got {x1.shape[0]} and {x2.shape[0]}"
+                "u_dist, x1_given_u, x2_given_u must have shapes (|U|,), (|U|, |X1|), "
+                f"(|U|, |X2|), got {u.shape}, {x1.shape}, {x2.shape}"
             )
-        object.__setattr__(self, "u_dist", u)
-        object.__setattr__(self, "x1_given_u", x1)
-        object.__setattr__(self, "x2_given_u", x2)
+        object.__setattr__(self, "u_dist", check_mass(u, "u_dist"))
+        object.__setattr__(self, "x1_given_u", check_mass(x1, "x1_given_u", sum_axes=1))
+        object.__setattr__(self, "x2_given_u", check_mass(x2, "x2_given_u", sum_axes=1))
 
     @property
     def u_size(self) -> int:
@@ -192,6 +155,8 @@ class GaussianMacWt:
             if not math.isfinite(v) or v <= 0.0:
                 raise ValidationError(f"{name} must be finite and positive, got {v!r}")
             object.__setattr__(self, name, v)
+        if not math.isfinite((self.p1 + self.p2) / min(self.sigma1_sq, self.sigma2_sq)):
+            raise ValidationError("(p1 + p2) / min(sigma1_sq, sigma2_sq) overflows to infinity")
 
 
 @dataclass(frozen=True)
@@ -208,6 +173,17 @@ class InfoQuantities:
     d: float
     e: float
     h_y_given_z: float
+
+
+def _df_sum(a, b, c, d, e):
+    """Decode-and-forward sum-rate cap min(c, a + b) - d; exact on Fractions."""
+    return min(c, a + b) - d
+
+
+def _hybrid_sum(a, b, c, d, e):
+    """Hybrid sum-rate cap min(c, a + b) - d + min(d, e): the leakage debit d
+    partly refunded by the feedback key rate e; exact on Fractions."""
+    return min(c, a + b) - d + min(d, e)
 
 
 def assemble_joint(kernel: MacWiretapKernel, inputs: InputFactorization) -> JointDist:
@@ -239,11 +215,7 @@ def joint_from_input_law(kernel: MacWiretapKernel, joint_x: np.ndarray) -> Joint
         raise ValidationError(
             f"input law must have shape {(kernel.x1_size, kernel.x2_size)}, got {q.shape}"
         )
-    if not np.isfinite(q).all() or q.min() < -PROB_ATOL:
-        raise ValidationError("input law entries must be finite and nonnegative")
-    q = np.where(q < 0.0, 0.0, q)
-    if abs(q.sum() - 1.0) > PROB_ATOL:
-        raise ValidationError(f"input law must sum to 1 within {PROB_ATOL:g}")
+    q = check_mass(q, "input law")
     return JointDist(q[:, :, None, None] * kernel.transition)
 
 
@@ -283,6 +255,9 @@ def parse_channel(obj) -> MacWiretapKernel:
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise ValidationError(f"{key} must be a positive integer, got {v!r}")
         sizes.append(v)
+    bad = next(_non_numbers(obj["transition"]), None)
+    if bad is not None:
+        raise ValidationError(f"transition entry at index {bad} is not a number")
     try:
         arr = np.asarray(obj["transition"], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -292,6 +267,16 @@ def parse_channel(obj) -> MacWiretapKernel:
             f"transition shape {arr.shape} does not match declared sizes {tuple(sizes)}"
         )
     return MacWiretapKernel(arr)
+
+
+def _non_numbers(value, index: tuple[int, ...] = ()):
+    """Indices of the leaves of nested lists that are not JSON numbers;
+    booleans are not numbers here, although Python counts them as ints."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _non_numbers(item, index + (i,))
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        yield index
 
 
 def load_channel(path) -> MacWiretapKernel:
@@ -313,14 +298,3 @@ def load_channel(path) -> MacWiretapKernel:
         return parse_channel(obj)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-
-
-def channel_to_dict(kernel: MacWiretapKernel) -> dict:
-    """Inverse of parse_channel, for writing channel files."""
-    return {
-        "x1_size": kernel.x1_size,
-        "x2_size": kernel.x2_size,
-        "y_size": kernel.y_size,
-        "z_size": kernel.z_size,
-        "transition": kernel.transition.tolist(),
-    }

@@ -221,11 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=_int_at_least(1), required=True, help="number of random rational instances"
     )
     fmv.add_argument("--seed", type=_int_at_least(0), default=0, help="sampling seed (default: 0)")
-    fmv.add_argument(
-        "--dump",
-        action="store_true",
-        help="write a JSON dump of both vertex sets for every mismatching instance",
-    )
     _add_output_flags(fmv)
     fmv.set_defaults(handler=_cmd_fm_verify)
 
@@ -495,22 +490,6 @@ def _cmd_fm_verify(args) -> int:
             "  closed-form vertices:       %s" % _vertices_text(check.closed_form_vertices),
             file=sys.stderr,
         )
-        if args.dump:
-            dump_path = out_dir / f"fm_mismatch_{name}.json"
-            _write_text(
-                dump_path,
-                _json_text(
-                    {
-                        "case": name,
-                        "constants": [str(v) for v in consts],
-                        "projected_vertices": [[str(x), str(y)] for x, y in check.projected_vertices],
-                        "closed_form_vertices": [
-                            [str(x), str(y)] for x, y in check.closed_form_vertices
-                        ],
-                    }
-                ),
-            )
-            print(f"wrote {dump_path}", file=sys.stderr)
     return EXIT_FAILURE
 
 

@@ -11,7 +11,13 @@ to produce the identical output.
 
 Single-letter quantities for one input law come from the channels module;
 the search loop uses a private einsum evaluation of the same expressions
-that is pinned to the public one by the test suite.
+that is pinned to the public one by the test suite.  The sum-rate formulas
+come from the channels module too, the one place they are written.  The
+single-user rates are not separate formulas: they are the two-user sum caps
+of a kernel whose second transmitter has a one-letter alphabet and whose
+auxiliary is constant, so Wyner's I(X;Y) - I(X;Z) is the decode-and-forward
+cap and the feedback-key rate min{I(X;Y), I(X;Y) - I(X;Z) + H(Y|X,Z)} is the
+hybrid cap.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from .channels import (
     InputFactorization,
     MacWiretapKernel,
     WiretapKernel,
+    _df_sum,
+    _hybrid_sum,
     info_quantities,
     joint_from_input_law,
 )
@@ -193,12 +201,12 @@ def search_outer(
 
 def wyner_capacity(kernel: WiretapKernel, config: SearchConfig = SearchConfig()) -> float:
     """Search maximum of I(X;Y) - I(X;Z) over single-transmitter input
-    laws, clamped at zero (a constant input always achieves zero)."""
+    laws, clamped at zero (a constant input always achieves zero).
 
-    def score(i_xy: float, i_xz: float, h_y_given_xz: float) -> float:
-        return i_xy - i_xz
-
-    return max(0.0, _single_user_search(kernel, config, score))
+    This is the decode-and-forward sum cap with a silent second transmitter
+    and a constant auxiliary, where a = c = I(X;Y), b = 0 and d = I(X;Z).
+    """
+    return max(0.0, _single_user_search(kernel, config, _df_sum))
 
 
 def feedback_secrecy_capacity(
@@ -207,25 +215,16 @@ def feedback_secrecy_capacity(
     """Search maximum of min{I(X;Y), I(X;Y) - I(X;Z) + H(Y|X,Z)}, the
     single-user secrecy rate with noiseless feedback, clamped at zero.
 
-    The objective dominates the one of :func:`wyner_capacity` pointwise,
-    so with equal seeds the returned value is never smaller.
+    This is the hybrid sum cap with a silent second transmitter and a
+    constant auxiliary: with a = c = I(X;Y), b = 0, d = I(X;Z) and
+    e = H(Y|X,Z), c - d + min(d, e) = min{c, c - d + e}.  The objective
+    dominates the one of :func:`wyner_capacity` pointwise, so with equal
+    seeds the returned value is never smaller.
     """
-
-    def score(i_xy: float, i_xz: float, h_y_given_xz: float) -> float:
-        return min(i_xy, i_xy - i_xz + h_y_given_xz)
-
-    return max(0.0, _single_user_search(kernel, config, score))
+    return max(0.0, _single_user_search(kernel, config, _hybrid_sum))
 
 
 # --- search internals ---------------------------------------------------------------
-
-
-def _df_sum(a: float, b: float, c: float, d: float, e: float) -> float:
-    return min(c, a + b) - d
-
-
-def _hybrid_sum(a: float, b: float, c: float, d: float, e: float) -> float:
-    return min(c, a + b) - d + min(d, e)
 
 
 def _region_with_sum(q: InfoQuantities, sum_bound: Callable) -> RateRegion:
@@ -302,18 +301,14 @@ def _factorized_objective(
     return objective
 
 
-def _single_user_search(kernel: WiretapKernel, config: SearchConfig, score: Callable) -> float:
-    w = kernel.transition
+def _single_user_search(kernel: WiretapKernel, config: SearchConfig, sum_score: Callable) -> float:
+    # The single transmitter is X1 of a two-user kernel whose X2 alphabet
+    # has one letter; the auxiliary is constant.
+    w = kernel.transition[:, None]
+    u, x2 = np.ones(1), np.ones((1, 1))
 
     def objective(rows: list[np.ndarray]) -> float:
-        p_xyz = rows[0][:, None, None] * w
-        p_xy = p_xyz.sum(axis=2)
-        p_xz = p_xyz.sum(axis=1)
-        h_x = _entropy_bits(rows[0])
-        i_xy = _clamp(h_x + _entropy_bits(p_xy.sum(axis=0)) - _entropy_bits(p_xy))
-        i_xz = _clamp(h_x + _entropy_bits(p_xz.sum(axis=0)) - _entropy_bits(p_xz))
-        h_y_given_xz = _clamp(_entropy_bits(p_xyz) - _entropy_bits(p_xz))
-        return score(i_xy, i_xz, h_y_given_xz)
+        return sum_score(*_factorized_quantities(w, u, rows[0][None, :], x2))
 
     best, _ = _best_of_restarts([kernel.x_size], (_SINGLE_STREAM,), objective, config)
     return best

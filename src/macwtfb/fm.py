@@ -6,7 +6,10 @@ a key-protected part and a residual randomization part per transmitter.
 This module re-derives the closed form independently: it encodes the
 auxiliary constraint system verbatim, projects it onto the message-rate
 plane by Fourier-Motzkin elimination in exact rational arithmetic, and
-compares the projected polygon vertex by vertex with the closed form.
+compares the projected polygon vertex by vertex with the closed form.  The
+closed form's sum cap is the same function the discrete search uses
+(``channels._hybrid_sum``), so the check certifies the formula the package
+writes, not a copy of it.
 
 Every coefficient is an integer and every bound a ``fractions.Fraction``;
 no floating-point comparison occurs anywhere in this module.  Float inputs
@@ -27,14 +30,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .channels import _hybrid_sum
 from .info import ValidationError
-from .regions import (
-    Halfspace,
-    RateRegion,
-    _hull_ccw,
-    _intersection_candidates,
-    region_from_halfspaces,
-)
+from .regions import _hull_ccw, _intersection_candidates
 
 __all__ = [
     "LinearSystem",
@@ -241,9 +239,10 @@ def rate_splitting_system(a, b, c, d, e) -> LinearSystem:
 def hybrid_closed_form_system(a, b, c, d, e) -> LinearSystem:
     """The closed-form hybrid region as a two-variable system:
     R1 <= a, R2 <= b, R1 + R2 <= min(c, a + b) - d + min(d, e), both
-    rates nonnegative."""
+    rates nonnegative.  The sum cap is the package's own hybrid formula,
+    the one the discrete search writes, evaluated on rationals."""
     a, b, c, d, e = _information_constants(a, b, c, d, e)
-    sum_bound = min(c, a + b) - d + min(d, e)
+    sum_bound = _hybrid_sum(a, b, c, d, e)
     return LinearSystem(
         ("R1", "R2"),
         [
@@ -289,16 +288,13 @@ class ProjectionCheck:
     """Outcome of comparing the projected rate-splitting system with the
     closed-form hybrid region.
 
-    ``match`` is an exact rational verdict on the two vertex tuples.  The
-    two regions are float renderings for display; an empty (infeasible)
-    exact region renders as the degenerate origin region.
+    ``match`` is an exact rational verdict on the two vertex tuples; an
+    empty (infeasible) region has the empty tuple.
     """
 
     match: bool
     projected_vertices: tuple[tuple[Fraction, Fraction], ...]
     closed_form_vertices: tuple[tuple[Fraction, Fraction], ...]
-    projected_region: RateRegion
-    closed_form_region: RateRegion
 
 
 def verify_hybrid_region_projection(a, b, c, d, e) -> ProjectionCheck:
@@ -317,8 +313,6 @@ def verify_hybrid_region_projection(a, b, c, d, e) -> ProjectionCheck:
         match=projected_vertices == closed_vertices,
         projected_vertices=projected_vertices,
         closed_form_vertices=closed_vertices,
-        projected_region=_to_rate_region(projected),
-        closed_form_region=_to_rate_region(closed),
     )
 
 
@@ -357,12 +351,3 @@ def _normalize(num_variables: int, rows: Iterable[Row]) -> tuple[Row, ...]:
         if held is None or bound < held:
             merged[coeffs] = bound
     return tuple(sorted(merged.items()))
-
-
-def _to_rate_region(system: LinearSystem) -> RateRegion:
-    return region_from_halfspaces(
-        [
-            Halfspace(float(coeffs[0]), float(coeffs[1]), float(bound))
-            for coeffs, bound in system.rows
-        ]
-    )

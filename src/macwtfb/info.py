@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,35 +30,35 @@ class ConsistencyError(RuntimeError):
     """Raised when an internally computed quantity violates exact-math bounds."""
 
 
-def _as_mass(values, ndim: int | None = None) -> np.ndarray:
+def check_mass(values, what: str = "mass", sum_axes=None, atol: float = PROB_ATOL) -> np.ndarray:
+    """Validated read-only copy of a probability mass array.
+
+    Entries must be finite and no lower than -PROB_ATOL; the tolerated tiny
+    negatives are clipped to 0. Every sum over ``sum_axes`` (all axes when
+    None) must be 1 within ``atol``. Errors name the offending index.
+    """
     arr = np.asarray(values, dtype=float)
-    if ndim is not None and arr.ndim != ndim:
-        raise ValidationError(f"expected a {ndim}-dimensional mass array, got shape {arr.shape}")
     if arr.size == 0:
-        raise ValidationError("mass array is empty")
-    if not np.isfinite(arr).all():
-        raise ValidationError("mass array contains non-finite entries")
-    if arr.min() < -PROB_ATOL:
-        raise ValidationError(f"mass array has negative entry {arr.min():.3e}")
+        raise ValidationError(f"{what} is empty: shape {arr.shape}")
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        idx = _argmax_index(bad)
+        raise ValidationError(f"{what} has non-finite entry {float(arr[idx])!r} at index {idx}")
+    idx = _argmax_index(-arr)
+    if arr[idx] < -PROB_ATOL:
+        raise ValidationError(f"{what} has negative entry {arr[idx]:.3e} at index {idx}")
     arr = np.where(arr < 0.0, 0.0, arr)
-    total = arr.sum()
-    if abs(total - 1.0) > PROB_ATOL:
-        raise ValidationError(f"mass must sum to 1 within {PROB_ATOL:g}, got {total!r}")
+    sums = np.asarray(arr.sum(axis=sum_axes))
+    idx = _argmax_index(np.abs(sums - 1.0))
+    if abs(sums[idx] - 1.0) > atol:
+        row = f" row {idx}" if idx else ""
+        raise ValidationError(f"{what}{row} sums to {float(sums[idx])!r}, off by more than {atol:g}")
     arr.flags.writeable = False
     return arr
 
 
-@dataclass(frozen=True)
-class FiniteDist:
-    """Probability mass function on a finite alphabet {0, ..., n-1}."""
-
-    mass: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mass", _as_mass(self.mass, ndim=1))
-
-    def __len__(self) -> int:
-        return self.mass.shape[0]
+def _argmax_index(values: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(i) for i in np.unravel_index(int(values.argmax()), values.shape))
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,7 @@ class JointDist:
     mass: np.ndarray
 
     def __post_init__(self):
-        arr = _as_mass(self.mass)
-        object.__setattr__(self, "mass", arr)
+        object.__setattr__(self, "mass", check_mass(self.mass))
 
     @property
     def axis_sizes(self) -> tuple[int, ...]:
@@ -108,10 +107,10 @@ def _entropy_of(mass: np.ndarray) -> float:
     return float(-np.dot(nz, np.log2(nz)))
 
 
-def entropy(dist: FiniteDist | JointDist) -> float:
-    """Shannon entropy H(X) in bits; for a JointDist, the entropy of all axes."""
-    if not isinstance(dist, (FiniteDist, JointDist)):
-        raise ValidationError(f"expected FiniteDist or JointDist, got {type(dist).__name__}")
+def entropy(dist: JointDist) -> float:
+    """Shannon entropy in bits of all axes of a JointDist."""
+    if not isinstance(dist, JointDist):
+        raise ValidationError(f"expected JointDist, got {type(dist).__name__}")
     return _entropy_of(dist.mass)
 
 
@@ -166,13 +165,3 @@ def gaussian_diff_entropy(variance: float) -> float:
     if not math.isfinite(v) or v <= 0.0:
         raise ValidationError(f"variance must be positive and finite, got {variance!r}")
     return 0.5 * math.log2(TWO_PI_E * v)
-
-
-def binary_entropy(p: float) -> float:
-    """Entropy of a Bernoulli(p) source in bits."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"Bernoulli parameter must lie in [0, 1], got {p!r}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))

@@ -12,7 +12,6 @@ from macwtfb.channels import (
     MacWiretapKernel,
     WiretapKernel,
     assemble_joint,
-    channel_to_dict,
     info_quantities,
     joint_from_input_law,
     load_channel,
@@ -166,6 +165,11 @@ def test_kernel_validation_and_renormalization():
         MacWiretapKernel(np.full((2, 2, 2), 0.25))
 
 
+def test_empty_conditional_table_rejected():
+    with pytest.raises(ValidationError, match="empty"):
+        InputFactorization([1.0], np.zeros((1, 0)), [[1.0]])
+
+
 def test_wiretap_kernel():
     t = np.zeros((2, 2, 2))
     t[0, 0, 0] = t[0, 0, 1] = 0.5
@@ -190,7 +194,8 @@ def test_gaussian_model_validation():
 def test_channel_json_round_trip(tmp_path):
     kernel = random_kernel((2, 3, 2, 2), seed=77)
     path = tmp_path / "chan.json"
-    path.write_text(json.dumps(channel_to_dict(kernel)))
+    doc = {"x1_size": 2, "x2_size": 3, "y_size": 2, "z_size": 2, "transition": kernel.transition.tolist()}
+    path.write_text(json.dumps(doc))
     loaded = load_channel(path)
     np.testing.assert_allclose(loaded.transition, kernel.transition, atol=1e-15)
 

@@ -157,6 +157,38 @@ def test_region_discrete_missing_channel_file(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "transition", [[[[[True]]]], [[[[0.0, True]]]], [[[["1.0"]]]]], ids=["true", "late_true", "string"]
+)
+def test_region_discrete_rejects_non_numeric_probabilities(tmp_path, capsys, transition):
+    path = tmp_path / "chan.json"
+    doc = {"x1_size": 1, "x2_size": 1, "y_size": 1, "z_size": len(transition[0][0][0]), "transition": transition}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code = main(["region", "discrete", "--channel", str(path), "--bounds", "outer", "--output-dir", str(out_dir)])
+    assert code == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert "error:" in err and "is not a number" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["powersweep", "--pmax", "1e308", "--steps", "3", "--sigma1sq", "1", "--sigma2sq", "10"],
+        ["region", "gaussian", "--p1", "1e308", "--p2", "1e308", "--sigma1sq", "1", "--sigma2sq", "10", "--bounds", "df,hybrid,ty,outer"],
+    ],
+    ids=["powersweep", "region_gaussian"],
+)
+def test_overflowing_total_power_is_usage_error(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    code = main([*argv, "--output-dir", str(out_dir)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: (p1 + p2) / min(sigma1_sq, sigma2_sq) overflows" in err
+    assert not out_dir.exists()
+
+
 # --- powersweep -----------------------------------------------------------------
 
 

@@ -27,7 +27,7 @@ from macwtfb.discrete import (
     wyner_capacity,
 )
 from macwtfb.discrete import _factorized_quantities
-from macwtfb.info import ValidationError
+from macwtfb.info import JointDist, ValidationError, conditional_entropy, mutual_information
 from macwtfb.regions import Halfspace, is_subset, region_from_halfspaces
 
 H2_011 = 0.499915958164528  # binary entropy of 0.11, frozen at 30 digits
@@ -304,6 +304,32 @@ def test_fast_quantities_match_reference():
                 )
                 for got, want in zip(fast, (ref.a, ref.b, ref.c, ref.d, ref.e)):
                     assert got == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_single_user_embedding_matches_generic_quantities(nx, ny, nz, seed):
+    # The single-user searches score a kernel with a one-letter second
+    # input and a constant auxiliary; there (a, b, c, d, e) must be
+    # (I(X;Y), 0, I(X;Y), I(X;Z), H(Y|X,Z)).
+    rng = np.random.default_rng(seed)
+    w = WiretapKernel(rng.dirichlet(np.ones(ny * nz), size=nx).reshape(nx, ny, nz)).transition
+    p = rng.dirichlet(np.ones(nx))
+    if nx > 1 and rng.random() < 0.3:  # exercise an unused input letter
+        p[0] = 0.0
+        p /= p.sum()
+    got = _factorized_quantities(w[:, None], np.ones(1), p[None, :], np.ones((1, 1)))
+    joint = JointDist(p[:, None, None] * w)  # axes X, Y, Z
+    i_xy = mutual_information(joint, [0], [1])
+    want = (
+        i_xy,
+        0.0,
+        i_xy,
+        mutual_information(joint, [0], [2]),
+        conditional_entropy(joint, [1], [0, 2]),
+    )
+    for g, v in zip(got, want):
+        assert g == pytest.approx(v, abs=1e-10)
 
 
 def _random_factorization(rng, u_size, n1, n2):

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from macwtfb.info import (
     ConsistencyError,
-    FiniteDist,
     JointDist,
     ValidationError,
-    binary_entropy,
     conditional_entropy,
     entropy,
     gaussian_diff_entropy,
@@ -35,13 +33,12 @@ def random_joint(shape, seed):
 # --- entropy -----------------------------------------------------------------
 
 def test_entropy_bernoulli_frozen():
-    assert entropy(FiniteDist([0.11, 0.89])) == pytest.approx(H2_011, abs=1e-12)
-    assert binary_entropy(0.11) == pytest.approx(H2_011, abs=1e-12)
+    assert entropy(JointDist([0.11, 0.89])) == pytest.approx(H2_011, abs=1e-12)
 
 
 def test_entropy_uniform_and_deterministic():
-    assert entropy(FiniteDist([0.25] * 4)) == pytest.approx(2.0, abs=1e-12)
-    assert entropy(FiniteDist([1.0, 0.0, 0.0])) == 0.0
+    assert entropy(JointDist([0.25] * 4)) == pytest.approx(2.0, abs=1e-12)
+    assert entropy(JointDist([1.0, 0.0, 0.0])) == 0.0
 
 
 def test_entropy_brute_force_oracle():
@@ -56,7 +53,7 @@ def test_entropy_brute_force_oracle():
 @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=8))
 def test_entropy_bounds(weights):
     mass = np.array(weights) / sum(weights)
-    h = entropy(FiniteDist(mass))
+    h = entropy(JointDist(mass))
     assert -1e-12 <= h <= math.log2(len(weights)) + 1e-12
 
 
@@ -68,8 +65,8 @@ def test_entropy_bounds(weights):
 def test_entropy_concavity(w1, w2, lam):
     p = np.array(w1) / sum(w1)
     q = np.array(w2) / sum(w2)
-    mix = FiniteDist(lam * p + (1 - lam) * q)
-    blend = lam * entropy(FiniteDist(p)) + (1 - lam) * entropy(FiniteDist(q))
+    mix = JointDist(lam * p + (1 - lam) * q)
+    blend = lam * entropy(JointDist(p)) + (1 - lam) * entropy(JointDist(q))
     assert entropy(mix) >= blend - 1e-9
 
 
@@ -112,13 +109,13 @@ def test_mutual_information_brute_force_oracle():
 def test_chain_rule():
     j = random_joint((4, 5), seed=3)
     h_joint = entropy(j)
-    h_0 = entropy(FiniteDist(j.marginal([0])))
+    h_0 = entropy(JointDist(j.marginal([0])))
     assert h_joint == pytest.approx(h_0 + conditional_entropy(j, [1], [0]), abs=1e-12)
 
 
 def test_conditioning_reduces_entropy():
     j = random_joint((4, 4), seed=5)
-    h_0 = entropy(FiniteDist(j.marginal([0])))
+    h_0 = entropy(JointDist(j.marginal([0])))
     assert conditional_entropy(j, [0], [1]) <= h_0 + 1e-12
 
 
@@ -175,11 +172,9 @@ def test_gaussian_diff_entropy_domain():
 
 def test_distribution_validation():
     with pytest.raises(ValidationError):
-        FiniteDist([0.5, 0.4])  # sums to 0.9
+        JointDist([0.5, 0.4])  # sums to 0.9
     with pytest.raises(ValidationError):
-        FiniteDist([0.5, 0.6, -0.1])
-    with pytest.raises(ValidationError):
-        FiniteDist([[0.5, 0.5]])  # not 1-D
+        JointDist([0.5, 0.6, -0.1])
     with pytest.raises(ValidationError):
         JointDist(np.array([[0.5, np.nan], [0.25, 0.25]]))
 
@@ -192,11 +187,3 @@ def test_axis_validation():
         mutual_information(j, [0], [5])
     with pytest.raises(ValidationError):
         mutual_information(j, [0, 0], [1])
-
-
-def test_binary_entropy_domain():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValidationError):
-        binary_entropy(1.5)
