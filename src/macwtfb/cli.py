@@ -14,16 +14,26 @@ Every run is deterministic: identical flags (including the seed) produce
 byte-identical files.  CSV floats are rendered with %.12g; JSON documents
 are indented with sorted keys.  Output lands in the current directory
 unless --output-dir or the MACWTFB_OUTPUT_DIR environment variable says
-otherwise.
+otherwise.  Every file goes through one writer, :func:`_emit`, which prints
+``wrote <path>``.
 
-Exit codes: 0 success, 1 verification or input-data failure, 2 internal
-invariant violation, 64 usage error.
+Commands raise their failures and :func:`main` reports each one on stderr
+as ``<prog>: error: <message>`` (``invariant violation`` in place of
+``error`` for the figure checks).  A usage error, including an output
+directory that cannot be created, is reported before any file is written;
+``region discrete`` resolves the directory after loading the channel and
+before its search.
+
+Exit codes: 0 success, 1 verification or input-data failure (an
+``fm-verify`` mismatch, an unusable channel file), 2 internal invariant
+violation, 64 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -51,17 +61,18 @@ EXIT_USAGE = 64
 
 OUTPUT_DIR_ENV = "MACWTFB_OUTPUT_DIR"
 
-_GAUSSIAN_BOUNDS = ("df", "hybrid", "ty", "outer")
-_DISCRETE_BOUNDS = ("df", "hybrid", "outer")
-
+# Gaussian bounds in file and column order.
 _GAUSSIAN_REGION_FNS = {
     "df": gaussian_df_region,
     "hybrid": gaussian_hybrid_region,
     "ty": tekin_yener_region,
     "outer": gaussian_outer_region,
 }
+_GAUSSIAN_BOUNDS = tuple(_GAUSSIAN_REGION_FNS)
+_DISCRETE_BOUNDS = ("df", "hybrid", "outer")
 
-_SWEEP_HEADER = "P,p1_star,p2_star,r_sum_star,regime"
+# Power-sweep columns: the CSV header and the JSON row keys.
+_SWEEP_COLUMNS = ("P", "p1_star", "p2_star", "r_sum_star", "regime")
 
 # Preset parameter sets for the figure command.  2 and 3 are region
 # boundaries (p1, p2, sigma1_sq, sigma2_sq); 4 and 5 are power sweeps
@@ -75,7 +86,6 @@ _FIGURE_SWEEP_PRESETS = {
     5: (500.0, 100, 1.0, 10.0),
 }
 _FIGURE_SAMPLE_COUNT = 101
-_FIGURE_COLUMNS = ("df", "hybrid", "ty", "outer")
 
 # Fixed (a, b, c, d, e) tuples always checked by fm-verify: all-zero
 # constants, no key material (e = 0), key rate saturated by the leakage
@@ -104,8 +114,15 @@ def _finite_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
     return value
 
 
@@ -124,7 +141,9 @@ def _int_at_least(lower: int):
     return parse
 
 
-def _add_output_flags(parser: argparse.ArgumentParser, with_format: bool = True) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, handler, with_format: bool = True) -> None:
+    """The output flags every command takes, and the handler :func:`main`
+    runs, with the command's ``prog`` for its error lines."""
     if with_format:
         parser.add_argument(
             "--format",
@@ -137,6 +156,7 @@ def _add_output_flags(parser: argparse.ArgumentParser, with_format: bool = True)
         default=None,
         help="directory for output files (default: $%s or the current directory)" % OUTPUT_DIR_ENV,
     )
+    parser.set_defaults(handler=handler, prog=parser.prog)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     gauss.add_argument(
         "--samples", type=_int_at_least(1), default=101, help="boundary samples per region (default: 101)"
     )
-    _add_output_flags(gauss)
-    gauss.set_defaults(handler=_cmd_region_gaussian)
+    _add_common_flags(gauss, _cmd_region_gaussian)
 
     disc = region_sub.add_parser("discrete", help="searched bounds for a finite channel file")
     disc.add_argument("--channel", required=True, help="JSON channel description")
@@ -188,16 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument(
         "--iterations", type=_int_at_least(1), default=200, help="ascent sweeps per restart (default: 200)"
     )
-    _add_output_flags(disc)
-    disc.set_defaults(handler=_cmd_region_discrete)
+    _add_common_flags(disc, _cmd_region_discrete)
 
     psweep = sub.add_parser("powersweep", help="tabulate the optimal power allocation over a cap grid")
-    psweep.add_argument("--pmax", type=_finite_float, required=True, help="largest power cap")
+    psweep.add_argument("--pmax", type=_nonnegative_float, required=True, help="largest power cap")
     psweep.add_argument("--steps", type=_int_at_least(1), required=True, help="number of caps in [0, pmax]")
     psweep.add_argument("--sigma1sq", type=_finite_float, required=True, help="main-channel noise variance")
     psweep.add_argument("--sigma2sq", type=_finite_float, required=True, help="eavesdropper noise variance")
-    _add_output_flags(psweep)
-    psweep.set_defaults(handler=_cmd_powersweep)
+    _add_common_flags(psweep, _cmd_powersweep)
 
     fig = sub.add_parser(
         "figure",
@@ -210,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="preset number",
     )
-    _add_output_flags(fig, with_format=False)
-    fig.set_defaults(handler=_cmd_figure)
+    _add_common_flags(fig, _cmd_figure, with_format=False)
 
     fmv = sub.add_parser(
         "fm-verify",
@@ -221,13 +237,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=_int_at_least(1), required=True, help="number of random rational instances"
     )
     fmv.add_argument("--seed", type=_int_at_least(0), default=0, help="sampling seed (default: 0)")
-    _add_output_flags(fmv)
-    fmv.set_defaults(handler=_cmd_fm_verify)
+    _add_common_flags(fmv, _cmd_fm_verify)
 
     return parser
 
 
-# --- shared output helpers ------------------------------------------------------
+# --- output and failures ------------------------------------------------------
+
+
+class _Failure(Exception):
+    """A failed command.  :func:`main` prints ``<prog>: <label>: <line>`` on
+    stderr for each line and exits with ``code``."""
+
+    def __init__(self, code: int, *lines: str, label: str = "error"):
+        super().__init__(*lines)
+        self.code = code
+        self.label = label
 
 
 def _fmt(value: float) -> str:
@@ -239,16 +264,27 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_text(path: Path, text: str) -> None:
+def _csv_text(header: Sequence[str], rows) -> str:
+    """CSV lines; cells that are not strings are rendered with :func:`_fmt`."""
+    lines = (",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in [header, *rows])
+    return "\n".join(lines) + "\n"
+
+
+def _output_dir(args) -> Path:
+    """The output directory, created if missing; one that cannot be is a usage error."""
+    path = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot use output directory '{path}': {exc.strerror or exc}") from None
+    return path
+
+
+def _emit(path: Path, text: str) -> None:
+    """Write one output file and report it; no other code opens a file here."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-
-
-def _resolve_output_dir(args) -> Path:
-    base = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    print(f"wrote {path}")
 
 
 def _parse_bounds(text: str, allowed: Sequence[str]) -> list[str]:
@@ -264,82 +300,52 @@ def _parse_bounds(text: str, allowed: Sequence[str]) -> list[str]:
     return [name for name in allowed if name in requested]
 
 
-def _write_region(out_dir: Path, name: str, region: RateRegion, n_samples: int, fmt: str) -> Path:
+def _region_text(name: str, region: RateRegion, n_samples: int, fmt: str) -> str:
     samples = boundary_samples(region, n_samples)
-    path = out_dir / f"region_{name}.{fmt}"
-    if fmt == "csv":
-        lines = ["section,index,r1,r2"]
-        for i, (x, y) in enumerate(region.vertices):
-            lines.append("vertex,%d,%s,%s" % (i, _fmt(x), _fmt(y)))
-        for i, (x, y) in enumerate(samples):
-            lines.append("sample,%d,%s,%s" % (i, _fmt(x), _fmt(y)))
-        _write_text(path, "\n".join(lines) + "\n")
-    else:
-        doc = dict(region_to_dict(region), bound=name, samples=[[x, y] for x, y in samples])
-        _write_text(path, _json_text(doc))
-    return path
+    if fmt == "json":
+        return _json_text(dict(region_to_dict(region), bound=name, samples=[[x, y] for x, y in samples]))
+    rows = [("vertex", str(i), x, y) for i, (x, y) in enumerate(region.vertices)]
+    rows += [("sample", str(i), x, y) for i, (x, y) in enumerate(samples)]
+    return _csv_text(("section", "index", "r1", "r2"), rows)
 
 
-def _write_sweep(path: Path, table, fmt: str) -> Path:
-    if fmt == "csv":
-        lines = [_SWEEP_HEADER]
-        for cap, res in table:
-            lines.append(
-                ",".join(
-                    (_fmt(cap), _fmt(res.p1_star), _fmt(res.p2_star), _fmt(res.r_sum_star), res.regime)
-                )
-            )
-        _write_text(path, "\n".join(lines) + "\n")
-    else:
-        rows = [
-            {
-                "P": cap,
-                "p1_star": res.p1_star,
-                "p2_star": res.p2_star,
-                "r_sum_star": res.r_sum_star,
-                "regime": res.regime,
-            }
-            for cap, res in table
-        ]
-        _write_text(path, _json_text({"rows": rows}))
-    return path
+def _sweep_text(table, fmt: str) -> str:
+    rows = [(cap, *(getattr(res, column) for column in _SWEEP_COLUMNS[1:])) for cap, res in table]
+    if fmt == "json":
+        return _json_text({"rows": [dict(zip(_SWEEP_COLUMNS, row)) for row in rows]})
+    return _csv_text(_SWEEP_COLUMNS, rows)
 
 
 # --- region ---------------------------------------------------------------------
 
 
-def _cmd_region_gaussian(args) -> int:
-    try:
-        bounds = _parse_bounds(args.bounds, _GAUSSIAN_BOUNDS)
-        g = GaussianMacWt(args.p1, args.p2, args.sigma1sq, args.sigma2sq)
-        regions = {name: _GAUSSIAN_REGION_FNS[name](g) for name in bounds}
-    except ValidationError as exc:
-        print(f"macwtfb region gaussian: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    out_dir = _resolve_output_dir(args)
-    for name in bounds:
-        path = _write_region(out_dir, name, regions[name], args.samples, args.format)
-        print(f"wrote {path}")
+def _write_regions(out_dir: Path, regions: dict[str, RateRegion], args) -> int:
+    for name, region in regions.items():
+        _emit(out_dir / f"region_{name}.{args.format}", _region_text(name, region, args.samples, args.format))
     return EXIT_OK
 
 
+def _cmd_region_gaussian(args) -> int:
+    bounds = _parse_bounds(args.bounds, _GAUSSIAN_BOUNDS)
+    g = GaussianMacWt(args.p1, args.p2, args.sigma1sq, args.sigma2sq)
+    regions = {name: _GAUSSIAN_REGION_FNS[name](g) for name in bounds}
+    return _write_regions(_output_dir(args), regions, args)
+
+
 def _cmd_region_discrete(args) -> int:
-    try:
-        bounds = _parse_bounds(args.bounds, _DISCRETE_BOUNDS)
-        config = SearchConfig(
-            u_cardinality_max=args.umax,
-            restarts=args.restarts,
-            refinement_iterations=args.iterations,
-            seed=args.seed,
-        )
-    except ValidationError as exc:
-        print(f"macwtfb region discrete: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    bounds = _parse_bounds(args.bounds, _DISCRETE_BOUNDS)
+    config = SearchConfig(
+        u_cardinality_max=args.umax,
+        restarts=args.restarts,
+        refinement_iterations=args.iterations,
+        seed=args.seed,
+    )
     try:
         kernel = load_channel(args.channel)
     except (OSError, ValidationError) as exc:
-        print(f"macwtfb region discrete: error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise _Failure(EXIT_FAILURE, str(exc)) from exc
+    # resolved before the search, so an unusable directory fails fast
+    out_dir = _output_dir(args)
     regions = {}
     for name in bounds:
         if name == "outer":
@@ -347,26 +353,16 @@ def _cmd_region_discrete(args) -> int:
             regions[name] = region_from_halfspaces([(1.0, 1.0, value)])
         else:
             regions[name] = search_inner(kernel, name, config).hull
-    out_dir = _resolve_output_dir(args)
-    for name in bounds:
-        path = _write_region(out_dir, name, regions[name], args.samples, args.format)
-        print(f"wrote {path}")
-    return EXIT_OK
+    return _write_regions(out_dir, regions, args)
 
 
 # --- powersweep -----------------------------------------------------------------
 
 
 def _cmd_powersweep(args) -> int:
-    try:
-        g = GaussianMacWt(args.pmax, args.pmax, args.sigma1sq, args.sigma2sq)
-        table = sweep(args.pmax, args.steps, g)
-    except ValidationError as exc:
-        print(f"macwtfb powersweep: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    out_dir = _resolve_output_dir(args)
-    path = _write_sweep(out_dir / ("powersweep.%s" % args.format), table, args.format)
-    print(f"wrote {path}")
+    g = GaussianMacWt(args.pmax, args.pmax, args.sigma1sq, args.sigma2sq)
+    text = _sweep_text(sweep(args.pmax, args.steps, g), args.format)
+    _emit(_output_dir(args) / f"powersweep.{args.format}", text)
     return EXIT_OK
 
 
@@ -385,42 +381,29 @@ def _containment_failures(regions: dict[str, RateRegion]) -> list[str]:
 
 
 def _cmd_figure(args) -> int:
-    out_dir = _resolve_output_dir(args)
+    out_dir = _output_dir(args)
     which = args.which
     if which in _FIGURE_REGION_PRESETS:
         g = GaussianMacWt(*_FIGURE_REGION_PRESETS[which])
-        regions = {name: _GAUSSIAN_REGION_FNS[name](g) for name in _FIGURE_COLUMNS}
+        regions = {name: region_fn(g) for name, region_fn in _GAUSSIAN_REGION_FNS.items()}
         problems = _containment_failures(regions)
         if problems:
-            for message in problems:
-                print(f"macwtfb figure: invariant violation: {message}", file=sys.stderr)
-            return EXIT_INVARIANT
-        sampled = {
-            name: boundary_samples(regions[name], _FIGURE_SAMPLE_COUNT) for name in _FIGURE_COLUMNS
-        }
-        header = "sample," + ",".join(f"{name}_r1,{name}_r2" for name in _FIGURE_COLUMNS)
-        lines = [header]
-        for i in range(_FIGURE_SAMPLE_COUNT):
-            cells = [str(i)]
-            for name in _FIGURE_COLUMNS:
-                x, y = sampled[name][i]
-                cells.extend((_fmt(x), _fmt(y)))
-            lines.append(",".join(cells))
-        path = out_dir / f"fig{which}.csv"
-        _write_text(path, "\n".join(lines) + "\n")
+            raise _Failure(EXIT_INVARIANT, *problems, label="invariant violation")
+        sampled = [boundary_samples(region, _FIGURE_SAMPLE_COUNT) for region in regions.values()]
+        header = ["sample", *(f"{name}_{axis}" for name in regions for axis in ("r1", "r2"))]
+        rows = ([str(i), *(v for points in sampled for v in points[i])] for i in range(_FIGURE_SAMPLE_COUNT))
+        text = _csv_text(header, rows)
     else:
         p_max, steps, s1, s2 = _FIGURE_SWEEP_PRESETS[which]
         g = GaussianMacWt(p_max, p_max, s1, s2)
         table = sweep(p_max, steps, g)
         rates = [res.r_sum_star for _, res in table]
         if any(later < earlier - 1e-12 for earlier, later in zip(rates, rates[1:])):
-            print(
-                "macwtfb figure: invariant violation: optimal sum rate decreased along the sweep",
-                file=sys.stderr,
+            raise _Failure(
+                EXIT_INVARIANT, "optimal sum rate decreased along the sweep", label="invariant violation"
             )
-            return EXIT_INVARIANT
-        path = _write_sweep(out_dir / f"fig{which}.csv", table, "csv")
-    print(f"wrote {path}")
+        text = _sweep_text(table, "csv")
+    _emit(out_dir / f"fig{which}.csv", text)
     return EXIT_OK
 
 
@@ -448,35 +431,21 @@ def _vertices_text(vertices) -> str:
 
 
 def _cmd_fm_verify(args) -> int:
-    out_dir = _resolve_output_dir(args)
+    out_dir = _output_dir(args)
     cases = list(_CORNER_BATTERY) + _sample_tuples(args.samples, args.seed)
-    records = []
-    failures = []
-    for name, consts in cases:
-        check = verify_hybrid_region_projection(*consts)
-        records.append((name, consts, check))
-        if not check.match:
-            failures.append((name, consts, check))
-    path = out_dir / ("fm_verify.%s" % args.format)
+    records = [(name, consts, verify_hybrid_region_projection(*consts)) for name, consts in cases]
     if args.format == "csv":
-        lines = ["case,a,b,c,d,e,match"]
-        for name, consts, check in records:
-            lines.append(
-                ",".join([name, *[str(v) for v in consts], "true" if check.match else "false"])
-            )
-        _write_text(path, "\n".join(lines) + "\n")
+        rows = ([name, *map(str, consts), "true" if check.match else "false"] for name, consts, check in records)
+        text = _csv_text(("case", "a", "b", "c", "d", "e", "match"), rows)
     else:
-        doc = {
-            "cases": [
-                {"case": name, "constants": [str(v) for v in consts], "match": check.match}
-                for name, consts, check in records
-            ]
-        }
-        _write_text(path, _json_text(doc))
-    print(f"wrote {path}")
+        cases_doc = [
+            {"case": name, "constants": [str(v) for v in consts], "match": check.match}
+            for name, consts, check in records
+        ]
+        text = _json_text({"cases": cases_doc})
+    _emit(out_dir / f"fm_verify.{args.format}", text)
+    failures = [record for record in records if not record[2].match]
     print("fm-verify: %d instances checked, %d mismatches" % (len(records), len(failures)))
-    if not failures:
-        return EXIT_OK
     for name, consts, check in failures:
         print(
             "mismatch %s: (a, b, c, d, e) = (%s)" % (name, ", ".join(str(v) for v in consts)),
@@ -490,7 +459,7 @@ def _cmd_fm_verify(args) -> int:
             "  closed-form vertices:       %s" % _vertices_text(check.closed_form_vertices),
             file=sys.stderr,
         )
-    return EXIT_FAILURE
+    return EXIT_FAILURE if failures else EXIT_OK
 
 
 # --- entry point ----------------------------------------------------------------
@@ -499,4 +468,12 @@ def _cmd_fm_verify(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ValidationError as exc:
+        failure = _Failure(EXIT_USAGE, str(exc))
+    except _Failure as exc:
+        failure = exc
+    for line in failure.args:
+        print(f"{args.prog}: {failure.label}: {line}", file=sys.stderr)
+    return failure.code

@@ -5,10 +5,13 @@ the produced files can be asserted directly.  Determinism is checked at
 the byte level: two runs with identical flags must write identical files.
 """
 
+import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
+from macwtfb import cli
 from macwtfb.channels import GaussianMacWt
 from macwtfb.cli import (
     EXIT_FAILURE,
@@ -223,6 +226,17 @@ def test_powersweep_domain_violation_cites_breakpoint(tmp_path, capsys):
     assert "breakpoint" in capsys.readouterr().err
 
 
+def test_powersweep_negative_pmax_names_the_flag(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["powersweep", "--pmax", "-1", "--steps", "3", "--sigma1sq", "5", "--sigma2sq", "2", "--output-dir", str(out_dir)])
+    assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "macwtfb powersweep: error: argument --pmax: must be nonnegative, got -1" in err
+    assert "p1 must be" not in err
+    assert not out_dir.exists()
+
+
 def test_powersweep_json_rows(tmp_path):
     main(
         ["powersweep", "--pmax", "10", "--steps", "3", "--sigma1sq", "5", "--sigma2sq", "2", "--format", "json", "--output-dir", str(tmp_path)]
@@ -273,6 +287,37 @@ def test_containment_gate_flags_a_violation():
     assert EXIT_INVARIANT == 2
 
 
+def _big_df_region(g):
+    return region_from_halfspaces([(1.0, 1.0, 100.0)])
+
+
+def _reversed_sweep(p_max, steps, g, real=cli.sweep):
+    return real(p_max, steps, g)[::-1]
+
+
+@pytest.mark.parametrize(
+    "which, target, fake, message",
+    [
+        ("2", "df", _big_df_region, "df region is not contained in the hybrid region"),
+        ("3", "df", _big_df_region, "df region is not contained in the hybrid region"),
+        ("4", "sweep", _reversed_sweep, "optimal sum rate decreased along the sweep"),
+        ("5", "sweep", _reversed_sweep, "optimal sum rate decreased along the sweep"),
+    ],
+    ids=["2", "3", "4", "5"],
+)
+def test_figure_invariant_violation_writes_nothing(tmp_path, capsys, monkeypatch, which, target, fake, message):
+    if target == "sweep":
+        monkeypatch.setattr(cli, "sweep", fake)
+    else:
+        monkeypatch.setitem(cli._GAUSSIAN_REGION_FNS, target, fake)
+    code = main(["figure", "--which", which, "--output-dir", str(tmp_path)])
+    assert code == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert f"macwtfb figure: invariant violation: {message}" in captured.err.splitlines()
+    assert "wrote" not in captured.out
+    assert list(tmp_path.glob("fig*.csv")) == []
+
+
 # --- fm-verify ------------------------------------------------------------------
 
 
@@ -295,6 +340,28 @@ def test_fm_verify_json_report(tmp_path):
     assert len(doc["cases"]) == 7
     assert all(case["match"] is True for case in doc["cases"])
     assert doc["cases"][1]["constants"] == ["1", "1", "3/2", "1/2", "0"]
+
+
+def test_fm_verify_mismatch_keeps_the_file_and_reports_both_vertex_sets(tmp_path, capsys, monkeypatch):
+    real = cli.verify_hybrid_region_projection
+
+    def flip_corner_e_zero(*consts):
+        check = real(*consts)
+        if consts == (1, 1, Fraction(3, 2), Fraction(1, 2), 0):
+            return dataclasses.replace(check, match=False, projected_vertices=((Fraction(1, 3), Fraction(0)),))
+        return check
+
+    monkeypatch.setattr(cli, "verify_hybrid_region_projection", flip_corner_e_zero)
+    code = main(["fm-verify", "--samples", "2", "--output-dir", str(tmp_path)])
+    assert code == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert "6 instances checked, 1 mismatches" in captured.out
+    header, rows = read_rows(tmp_path / "fm_verify.csv")
+    assert [row[0] for row in rows if row[6] == "false"] == ["corner_e_zero"]
+    err = captured.err.splitlines()
+    assert "mismatch corner_e_zero: (a, b, c, d, e) = (1, 1, 3/2, 1/2, 0)" in err
+    assert "  eliminated-system vertices: (1/3, 0)" in err
+    assert "  closed-form vertices:       (0, 0); (1, 0); (0, 1)" in err
 
 
 def test_fm_verify_seeds_differ(tmp_path):
@@ -326,6 +393,42 @@ def test_output_dir_env_var_is_the_default(tmp_path, monkeypatch):
     code = main(["figure", "--which", "5"])
     assert code == EXIT_OK
     assert (target / "fig5.csv").exists()
+
+
+BAD_DIR_COMMANDS = {
+    "region_gaussian": ["region", "gaussian", *FIG2_FLAGS, "--bounds", "df,outer"],
+    "region_discrete": ["region", "discrete", "--channel", "CHANNEL", "--bounds", "df,outer"],
+    "powersweep": ["powersweep", "--pmax", "10", "--steps", "3", "--sigma1sq", "5", "--sigma2sq", "2"],
+    "figure": ["figure", "--which", "2"],
+    "fm_verify": ["fm-verify", "--samples", "2"],
+}
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("the search ran before the output directory was checked")
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("command", sorted(BAD_DIR_COMMANDS))
+def test_unusable_output_dir_is_usage_error(tmp_path, capsys, monkeypatch, command, via):
+    monkeypatch.setattr(cli, "search_inner", _no_search)
+    monkeypatch.setattr(cli, "search_outer", _no_search)
+    channel = write_zy_channel(tmp_path / "zy.json")
+    afile = tmp_path / "afile"
+    afile.write_text("keep", encoding="utf-8")
+    argv = [channel if arg == "CHANNEL" else arg for arg in BAD_DIR_COMMANDS[command]]
+    if via == "flag":
+        argv += ["--output-dir", str(afile)]
+    else:
+        monkeypatch.setenv("MACWTFB_OUTPUT_DIR", str(afile))
+    code = main(argv)
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot use output directory '{afile}':" in captured.err
+    assert "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "zy.json"]
+    assert afile.read_text(encoding="utf-8") == "keep"
 
 
 def test_usage_errors_exit_sixtyfour():
