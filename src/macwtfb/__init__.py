@@ -5,106 +5,43 @@ Inner (decode-and-forward and hybrid key-generation) and Sato-type outer
 bounds over discrete memoryless channels, closed-form Gaussian counterparts,
 optimal power control, and an exact rational Fourier-Motzkin verification of
 the hybrid region's rate-splitting construction.
+
+The package root exports the names the README presents; everything else
+is imported from its module, e.g. ``macwtfb.fm`` or ``macwtfb.channels``.
 """
 
-from .channels import (
-    GaussianMacWt,
-    InfoQuantities,
-    InputFactorization,
-    MacWiretapKernel,
-    WiretapKernel,
-    assemble_joint,
-    info_quantities,
-    load_channel,
-    parse_channel,
-    uniform_factorization,
-)
+from .channels import GaussianMacWt, MacWiretapKernel, WiretapKernel
 from .discrete import (
-    InnerSearchResult,
     SearchConfig,
-    df_region_for_input,
     feedback_secrecy_capacity,
-    hybrid_region_for_input,
-    sato_outer_for_joint,
     search_inner,
     search_outer,
     wyner_capacity,
 )
-from .fm import (
-    LinearSystem,
-    ProjectionCheck,
-    eliminate,
-    exact_vertices,
-    hybrid_closed_form_system,
-    project_to,
-    rate_splitting_system,
-    verify_hybrid_region_projection,
-)
-from .gaussian import (
-    df_sum_bound,
-    gaussian_df_region,
-    gaussian_hybrid_region,
-    gaussian_outer_region,
-    gaussian_outer_sum,
-    hybrid_sum_bound,
-    tekin_yener_region,
-)
-from .info import JointDist, ValidationError, entropy, gaussian_diff_entropy, mutual_information
-from .power import PowerControlResult, grid_oracle, optimal_power, saturation_threshold, sum_rate, sweep
-from .regions import Halfspace, RateRegion, boundary_samples, hull_of_regions, is_subset, region_from_halfspaces
+from .fm import verify_hybrid_region_projection
+from .gaussian import gaussian_hybrid_region, gaussian_outer_sum
+from .info import ValidationError
+from .power import optimal_power
+from .regions import RateRegion, boundary_samples, hull_of_regions, is_subset
 
 __version__ = "0.1.0"
 
 __all__ = [
     "GaussianMacWt",
-    "Halfspace",
-    "InfoQuantities",
-    "InnerSearchResult",
-    "InputFactorization",
-    "JointDist",
-    "LinearSystem",
     "MacWiretapKernel",
-    "PowerControlResult",
-    "ProjectionCheck",
     "RateRegion",
     "SearchConfig",
     "ValidationError",
     "WiretapKernel",
-    "assemble_joint",
     "boundary_samples",
-    "df_region_for_input",
-    "df_sum_bound",
-    "eliminate",
-    "entropy",
-    "exact_vertices",
     "feedback_secrecy_capacity",
-    "gaussian_df_region",
-    "gaussian_diff_entropy",
     "gaussian_hybrid_region",
-    "gaussian_outer_region",
     "gaussian_outer_sum",
-    "grid_oracle",
     "hull_of_regions",
-    "hybrid_closed_form_system",
-    "hybrid_region_for_input",
-    "hybrid_sum_bound",
-    "info_quantities",
     "is_subset",
-    "load_channel",
-    "mutual_information",
     "optimal_power",
-    "parse_channel",
-    "project_to",
-    "rate_splitting_system",
-    "region_from_halfspaces",
-    "sato_outer_for_joint",
-    "saturation_threshold",
     "search_inner",
     "search_outer",
-    "sum_rate",
-    "sweep",
-    "tekin_yener_region",
-    "uniform_factorization",
     "verify_hybrid_region_projection",
     "wyner_capacity",
 ]

@@ -122,15 +122,6 @@ class InputFactorization:
         return self.u_dist.size
 
 
-def uniform_factorization(u_size: int, x1_size: int, x2_size: int) -> InputFactorization:
-    """Uniform auxiliary and uniform conditional inputs."""
-    return InputFactorization(
-        np.full(u_size, 1.0 / u_size),
-        np.full((u_size, x1_size), 1.0 / x1_size),
-        np.full((u_size, x2_size), 1.0 / x2_size),
-    )
-
-
 @dataclass(frozen=True)
 class GaussianMacWt:
     """Gaussian model Y = X1 + X2 + N1, Z = X1 + X2 + N2.

@@ -22,7 +22,8 @@ as ``<prog>: error: <message>`` (``invariant violation`` in place of
 ``error`` for the figure checks).  A usage error, including an output
 directory that cannot be created, is reported before any file is written;
 ``region discrete`` resolves the directory after loading the channel and
-before its search.
+before its search.  Each command builds the text of every file before it
+writes the first; a file that cannot be written is a usage error too.
 
 Exit codes: 0 success, 1 verification or input-data failure (an
 ``fm-verify`` mismatch, an unusable channel file), 2 internal invariant
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     psweep = sub.add_parser("powersweep", help="tabulate the optimal power allocation over a cap grid")
     psweep.add_argument("--pmax", type=_nonnegative_float, required=True, help="largest power cap")
-    psweep.add_argument("--steps", type=_int_at_least(1), required=True, help="number of caps in [0, pmax]")
+    psweep.add_argument("--steps", type=_int_at_least(2), required=True, help="number of caps in [0, pmax]")
     psweep.add_argument("--sigma1sq", type=_finite_float, required=True, help="main-channel noise variance")
     psweep.add_argument("--sigma2sq", type=_finite_float, required=True, help="eavesdropper noise variance")
     _add_common_flags(psweep, _cmd_powersweep)
@@ -281,9 +282,13 @@ def _output_dir(args) -> Path:
 
 
 def _emit(path: Path, text: str) -> None:
-    """Write one output file and report it; no other code opens a file here."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """Write one output file and report it; no other code opens a file here.
+    A file that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write '{path}': {exc.strerror or exc}") from None
     print(f"wrote {path}")
 
 
@@ -320,8 +325,10 @@ def _sweep_text(table, fmt: str) -> str:
 
 
 def _write_regions(out_dir: Path, regions: dict[str, RateRegion], args) -> int:
-    for name, region in regions.items():
-        _emit(out_dir / f"region_{name}.{args.format}", _region_text(name, region, args.samples, args.format))
+    # every text is built before the first file is written
+    texts = {name: _region_text(name, region, args.samples, args.format) for name, region in regions.items()}
+    for name, text in texts.items():
+        _emit(out_dir / f"region_{name}.{args.format}", text)
     return EXIT_OK
 
 

@@ -159,17 +159,13 @@ def search_inner(
     found: list[tuple[InputFactorization, RateRegion]] = []
     for u_size in range(1, config.u_cardinality_max + 1):
         for score_id, score in enumerate(scores):
-            _, best_rows = _best_of_restarts(
-                [u_size] + [n1] * u_size + [n2] * u_size,
+            _, (u, x1, x2) = _best_of_restarts(
+                [(1, u_size), (u_size, n1), (u_size, n2)],
                 (_INNER_STREAM, kind_id, u_size, score_id),
-                _factorized_objective(w, u_size, score),
+                lambda u, x1, x2: score(*_factorized_quantities(w, u[0], x1, x2)),
                 config,
             )
-            fact = InputFactorization(
-                best_rows[0],
-                np.stack(best_rows[1 : 1 + u_size]),
-                np.stack(best_rows[1 + u_size :]),
-            )
+            fact = InputFactorization(u[0], x1, x2)
             found.append((fact, region_of(info_quantities(kernel, fact))))
     kept = _nondominated(found)
     return InnerSearchResult(
@@ -190,12 +186,12 @@ def search_outer(
     w = kernel.transition
     n1, n2 = kernel.x1_size, kernel.x2_size
 
-    def objective(rows: list[np.ndarray]) -> float:
-        p_yz = np.einsum("q,qyz->yz", rows[0], w.reshape(n1 * n2, kernel.y_size, kernel.z_size))
+    def objective(p: np.ndarray) -> float:
+        p_yz = np.einsum("q,qyz->yz", p[0], w.reshape(n1 * n2, kernel.y_size, kernel.z_size))
         return _entropy_bits(p_yz) - _entropy_bits(p_yz.sum(axis=0))
 
-    _, best_rows = _best_of_restarts([n1 * n2], (_OUTER_STREAM,), objective, config)
-    joint = JointDist(best_rows[0].reshape(n1, n2))
+    _, (p,) = _best_of_restarts([(1, n1 * n2)], (_OUTER_STREAM,), objective, config)
+    joint = JointDist(p.reshape(n1, n2))
     return joint, sato_outer_for_joint(kernel, np.asarray(joint.mass))
 
 
@@ -288,93 +284,79 @@ def _factorized_quantities(
     return a, b, c, d, e
 
 
-def _factorized_objective(
-    w: np.ndarray, u_size: int, score: Callable
-) -> Callable[[list[np.ndarray]], float]:
-    def objective(rows: list[np.ndarray]) -> float:
-        return score(
-            *_factorized_quantities(
-                w, rows[0], np.stack(rows[1 : 1 + u_size]), np.stack(rows[1 + u_size :])
-            )
-        )
-
-    return objective
-
-
 def _single_user_search(kernel: WiretapKernel, config: SearchConfig, sum_score: Callable) -> float:
     # The single transmitter is X1 of a two-user kernel whose X2 alphabet
     # has one letter; the auxiliary is constant.
     w = kernel.transition[:, None]
     u, x2 = np.ones(1), np.ones((1, 1))
 
-    def objective(rows: list[np.ndarray]) -> float:
-        return sum_score(*_factorized_quantities(w, u, rows[0][None, :], x2))
+    def objective(x: np.ndarray) -> float:
+        return sum_score(*_factorized_quantities(w, u, x, x2))
 
-    best, _ = _best_of_restarts([kernel.x_size], (_SINGLE_STREAM,), objective, config)
+    best, _ = _best_of_restarts([(1, kernel.x_size)], (_SINGLE_STREAM,), objective, config)
     return best
 
 
 def _best_of_restarts(
-    sizes: Sequence[int],
+    shapes: Sequence[tuple[int, int]],
     stream: tuple[int, ...],
-    objective: Callable[[list[np.ndarray]], float],
+    objective: Callable[..., float],
     config: SearchConfig,
 ) -> tuple[float, list[np.ndarray]]:
-    """Best value and rows over the seeded restarts of one objective.
+    """Best value and blocks over the seeded restarts of one objective.
 
-    Restart ``r`` draws from the generator keyed ``(seed, *stream, r)``, so
-    it does not depend on how many restarts run; ties keep the earlier one.
+    Each ``(k, n)`` in ``shapes`` is a block of k rows, each row a law on n
+    letters, and the objective scores ``objective(*blocks)``.  Restart 0
+    starts from uniform rows; restart ``r > 0`` draws every row from a flat
+    Dirichlet, block by block and row by row, with the generator keyed
+    ``(seed, *stream, r)``, so it does not depend on how many restarts run.
+    Ties keep the earlier restart.
     """
     best_value = -math.inf
-    best_rows = None
+    best_blocks = None
     for restart in range(config.restarts):
-        rows = _initial_rows(
-            sizes, restart, np.random.default_rng((config.seed, *stream, restart))
-        )
-        value = _ascend(rows, objective, config)
+        if restart == 0:
+            blocks = [np.full((k, n), 1.0 / n) for k, n in shapes]
+        else:
+            rng = np.random.default_rng((config.seed, *stream, restart))
+            blocks = [rng.dirichlet(np.ones(n), size=k) for k, n in shapes]
+        value = _ascend(blocks, objective, config)
         if value > best_value:
             best_value = value
-            best_rows = rows
-    return best_value, best_rows
-
-
-def _initial_rows(sizes: Sequence[int], restart: int, rng) -> list[np.ndarray]:
-    if restart == 0:
-        return [np.full(n, 1.0 / n) for n in sizes]
-    return [rng.dirichlet(np.ones(n)) for n in sizes]
+            best_blocks = blocks
+    return best_value, best_blocks
 
 
 def _ascend(
-    rows: list[np.ndarray], objective: Callable[[list[np.ndarray]], float], config: SearchConfig
+    blocks: list[np.ndarray], objective: Callable[..., float], config: SearchConfig
 ) -> float:
-    """Projected coordinate ascent over simplex blocks, in place.
+    """Projected coordinate ascent over the rows of the blocks, in place.
 
-    Each move bumps one coordinate of one block by the current step (both
-    signs tried), clips at zero and renormalizes; improving moves are kept
-    greedily.  Deterministic: no randomness beyond the initial rows.
+    Each move bumps one coordinate of one row by the current step (both
+    signs tried), clips at zero and renormalizes the row; a move is kept
+    when ``objective(*blocks)`` improves by more than 1e-15, and undone
+    otherwise.  The step never exceeds ``_INITIAL_STEP`` and every row sums
+    to 1, so a bumped row sums to at least 0.75.  Deterministic: no
+    randomness beyond the initial blocks.
     """
-    best = objective(rows)
+    best = objective(*blocks)
     step = _INITIAL_STEP
     stalled = 0
     for _ in range(config.refinement_iterations):
         improved = False
-        for row in rows:
-            for i in range(row.size):
-                for sign in (1.0, -1.0):
-                    trial = row.copy()
-                    trial[i] = max(0.0, trial[i] + sign * step)
-                    total = trial.sum()
-                    if total <= 0.0:
-                        continue
-                    trial /= total
-                    saved = row.copy()
-                    row[:] = trial
-                    value = objective(rows)
-                    if value > best + 1e-15:
-                        best = value
-                        improved = True
-                    else:
-                        row[:] = saved
+        for block in blocks:
+            for row in block:
+                for i in range(row.size):
+                    for sign in (1.0, -1.0):
+                        saved = row.copy()
+                        row[i] = max(0.0, row[i] + sign * step)
+                        row /= row.sum()
+                        value = objective(*blocks)
+                        if value > best + 1e-15:
+                            best = value
+                            improved = True
+                        else:
+                            row[:] = saved
         if improved:
             stalled = 0
             continue

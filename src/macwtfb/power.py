@@ -4,9 +4,8 @@ The secrecy sum rate under a common average-power cap is piecewise in the
 total transmit power: below a breakpoint it is the main-channel capacity
 term alone, above it the eavesdropper's capacity term is debited and the
 feedback key term saturates.  The maximizer has a closed form; this module
-implements it together with a brute-force grid oracle used to cross-check
-the closed form, and a sweep helper that tabulates the optimum as a
-function of the power cap.
+implements it and a sweep helper that tabulates the optimum as a function
+of the power cap.
 
 All rates are in bits.  The closed form is only meaningful when the
 per-transmitter saturation power (2*pi*e*sigma1_sq - 1)*sigma2_sq/2 is
@@ -29,7 +28,6 @@ __all__ = [
     "BELOW_THRESHOLD",
     "MIN_SIGMA1_SQ",
     "PowerControlResult",
-    "grid_oracle",
     "optimal_power",
     "saturation_threshold",
     "sum_rate",
@@ -105,28 +103,6 @@ def optimal_power(power_cap: float, g: GaussianMacWt) -> PowerControlResult:
         return PowerControlResult(threshold, threshold, rate, regime, threshold)
     rate = sum_rate(power_cap, power_cap, g)
     return PowerControlResult(power_cap, power_cap, rate, regime, threshold)
-
-
-def grid_oracle(
-    power_cap: float, g: GaussianMacWt, resolution: int
-) -> tuple[float, float, float]:
-    """Exhaustive maximum of :func:`sum_rate` over a uniform grid on the
-    square [0, cap]^2.
-
-    Returns ``(p1, p2, rate)`` at the first grid maximum in row-major
-    order, which breaks ties toward smaller p1 and then smaller p2.  Used
-    as an independent check of :func:`optimal_power`.
-    """
-    _check_domain(g)
-    if resolution < 2:
-        raise ValidationError("grid resolution must be at least 2, got %d" % resolution)
-    if power_cap < 0.0:
-        raise ValidationError("power cap must be nonnegative, got %g" % power_cap)
-    axis = np.linspace(0.0, power_cap, resolution)
-    rate = _rate_of_total(axis[:, None] + axis[None, :], g)
-    flat = int(np.argmax(rate))
-    i, j = divmod(flat, resolution)
-    return float(axis[i]), float(axis[j]), float(rate[i, j])
 
 
 def sweep(

@@ -223,19 +223,19 @@ def region_from_halfspaces(halfspaces: Iterable) -> RateRegion:
     return RateRegion(tuple(kept), tuple((float(x), float(y)) for x, y in verts))
 
 
-def contains(region: RateRegion, point, tol: float = TOL) -> bool:
-    """Whether the point lies in the region (within absolute tolerance)."""
+def contains(region: RateRegion, point) -> bool:
+    """Whether the point lies in the region, within absolute tolerance ``TOL``."""
     x, y = float(point[0]), float(point[1])
-    if x < -tol or y < -tol:
+    if x < -TOL or y < -TOL:
         return False
     if region.is_degenerate:
-        return abs(x) <= tol and abs(y) <= tol
-    return all(h.value_at((x, y)) <= h.bound + tol for h in region.halfspaces)
+        return abs(x) <= TOL and abs(y) <= TOL
+    return all(h.value_at((x, y)) <= h.bound + TOL for h in region.halfspaces)
 
 
-def is_subset(inner: RateRegion, outer: RateRegion, tol: float = TOL) -> bool:
-    """Whether inner is contained in outer; exact for convex polygons."""
-    return all(contains(outer, v, tol) for v in inner.vertices)
+def is_subset(inner: RateRegion, outer: RateRegion) -> bool:
+    """Whether inner is contained in outer (within ``TOL``); exact for convex polygons."""
+    return all(contains(outer, v) for v in inner.vertices)
 
 
 def _pareto_path(region: RateRegion) -> list[tuple[float, float]]:

@@ -24,7 +24,6 @@ from macwtfb.channels import (
     MacWiretapKernel,
     WiretapKernel,
     info_quantities,
-    uniform_factorization,
 )
 from macwtfb.cli import _CORNER_BATTERY, _sample_tuples
 from macwtfb.discrete import (
@@ -46,8 +45,10 @@ from macwtfb.gaussian import (
     tekin_yener_region,
 )
 from macwtfb.info import TWO_PI_E
-from macwtfb.power import grid_oracle, optimal_power, saturation_threshold
+from macwtfb.power import optimal_power, saturation_threshold
 from macwtfb.regions import is_subset
+
+from oracles import grid_oracle, uniform_factorization
 
 FIG2 = GaussianMacWt(1.0, 1.0, 1.0, 10.0)
 FIG3 = GaussianMacWt(10.0, 10.0, 5.0, 2.0)

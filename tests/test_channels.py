@@ -16,9 +16,10 @@ from macwtfb.channels import (
     joint_from_input_law,
     load_channel,
     parse_channel,
-    uniform_factorization,
 )
 from macwtfb.info import ValidationError
+
+from oracles import uniform_factorization
 
 
 def random_kernel(shape, seed):

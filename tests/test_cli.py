@@ -23,6 +23,7 @@ from macwtfb.cli import (
     main,
 )
 from macwtfb.gaussian import gaussian_outer_region
+from macwtfb.info import ValidationError
 from macwtfb.regions import boundary_samples, region_from_halfspaces
 
 FIG2_FLAGS = ["--p1", "1", "--p2", "1", "--sigma1sq", "1", "--sigma2sq", "10"]
@@ -237,6 +238,18 @@ def test_powersweep_negative_pmax_names_the_flag(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_powersweep_one_step_names_the_flag(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["powersweep", "--pmax", "10", "--steps", "1", "--sigma1sq", "5", "--sigma2sq", "2", "--output-dir", str(out_dir)])
+    assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: macwtfb powersweep")
+    assert "macwtfb powersweep: error: argument --steps: must be at least 2, got 1" in err
+    assert "sweep needs" not in err
+    assert not out_dir.exists()
+
+
 def test_powersweep_json_rows(tmp_path):
     main(
         ["powersweep", "--pmax", "10", "--steps", "3", "--sigma1sq", "5", "--sigma2sq", "2", "--format", "json", "--output-dir", str(tmp_path)]
@@ -429,6 +442,46 @@ def test_unusable_output_dir_is_usage_error(tmp_path, capsys, monkeypatch, comma
     assert "Traceback" not in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "zy.json"]
     assert afile.read_text(encoding="utf-8") == "keep"
+
+
+@pytest.mark.parametrize(
+    "argv, prog, blocked, written",
+    [
+        (["figure", "--which", "2"], "macwtfb figure", "fig2.csv", []),
+        (
+            ["region", "gaussian", *FIG2_FLAGS, "--bounds", "df,hybrid"],
+            "macwtfb region gaussian",
+            "region_hybrid.csv",
+            ["region_df.csv"],
+        ),
+    ],
+    ids=["figure", "region_second_file"],
+)
+def test_unwritable_output_file_is_usage_error(tmp_path, capsys, argv, prog, blocked, written):
+    (tmp_path / blocked).mkdir()
+    code = main([*argv, "--output-dir", str(tmp_path)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"{prog}: error: cannot write '{tmp_path / blocked}': Is a directory"]
+    assert "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == written
+
+
+def test_region_texts_are_built_before_any_file_is_written(tmp_path, capsys, monkeypatch):
+    real = cli._region_text
+
+    def fail_on_second(name, *args):
+        if name == "hybrid":
+            raise ValidationError("no text for the second bound")
+        return real(name, *args)
+
+    monkeypatch.setattr(cli, "_region_text", fail_on_second)
+    code = main(["region", "gaussian", *FIG2_FLAGS, "--bounds", "df,hybrid,outer", "--output-dir", str(tmp_path)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "macwtfb region gaussian: error: no text for the second bound\n"
+    assert list(tmp_path.glob("region_*")) == []
 
 
 def test_usage_errors_exit_sixtyfour():

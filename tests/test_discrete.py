@@ -14,7 +14,6 @@ from macwtfb.channels import (
     MacWiretapKernel,
     WiretapKernel,
     info_quantities,
-    uniform_factorization,
 )
 from macwtfb.discrete import (
     SearchConfig,
@@ -26,9 +25,11 @@ from macwtfb.discrete import (
     search_outer,
     wyner_capacity,
 )
-from macwtfb.discrete import _factorized_quantities
+from macwtfb.discrete import _best_of_restarts, _factorized_quantities
 from macwtfb.info import JointDist, ValidationError, conditional_entropy, mutual_information
 from macwtfb.regions import Halfspace, is_subset, region_from_halfspaces
+
+from oracles import uniform_factorization
 
 H2_011 = 0.499915958164528  # binary entropy of 0.11, frozen at 30 digits
 
@@ -241,6 +242,38 @@ def test_more_restarts_never_lower_the_search(kernel_seed, k):
     more = dataclasses.replace(fewer, restarts=k + 1)
     assert search_outer(mac, more)[1] >= search_outer(mac, fewer)[1] - 1e-12
     assert wyner_capacity(single, more) >= wyner_capacity(single, fewer)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_search_blocks_keep_their_shapes_and_stay_on_the_simplex(k, n1, n2, restarts, iterations, seed):
+    # Every row of every block is a distribution after each move, so a
+    # bumped row always sums to at least 1 - _INITIAL_STEP > 0.
+    shapes = [(1, k), (k, n1), (k, n2)]
+    rng = np.random.default_rng(seed)
+    weights = [rng.normal(size=shape) for shape in shapes]
+    config = SearchConfig(restarts=restarts, refinement_iterations=iterations, seed=seed)
+
+    def linear(*blocks):
+        return float(sum((w * b).sum() for w, b in zip(weights, blocks)))
+
+    value, blocks = _best_of_restarts(shapes, (9,), linear, config)
+    assert [block.shape for block in blocks] == shapes
+    assert value == linear(*blocks)
+    for block in blocks:
+        assert (block >= 0.0).all()
+        np.testing.assert_allclose(block.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    # a constant objective accepts no move, so restart 0 stays uniform
+    _, flat = _best_of_restarts(shapes, (9,), lambda *blocks: 0.0, dataclasses.replace(config, restarts=1))
+    for block, (_, n) in zip(flat, shapes):
+        assert np.array_equal(block, np.full_like(block, 1.0 / n))
 
 
 # --- single-user rates -----------------------------------------------------------------

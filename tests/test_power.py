@@ -12,12 +12,13 @@ from macwtfb.power import (
     ABOVE_THRESHOLD,
     BELOW_THRESHOLD,
     MIN_SIGMA1_SQ,
-    grid_oracle,
     optimal_power,
     saturation_threshold,
     sum_rate,
     sweep,
 )
+
+from oracles import grid_oracle
 
 # Frozen at 30-digit precision: (2*pi*e*5 - 1)*2/2 and
 # log2(1 + (2*pi*e*5 - 1)*2/5)/2 for variances (5, 2).
