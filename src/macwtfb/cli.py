@@ -19,11 +19,15 @@ otherwise.  Every file goes through one writer, :func:`_emit`, which prints
 
 Commands raise their failures and :func:`main` reports each one on stderr
 as ``<prog>: error: <message>`` (``invariant violation`` in place of
-``error`` for the figure checks).  A usage error, including an output
-directory that cannot be created, is reported before any file is written;
-``region discrete`` resolves the directory after loading the channel and
-before its search.  Each command builds the text of every file before it
-writes the first; a file that cannot be written is a usage error too.
+``error`` for the figure checks).  A Python warning raised by a command,
+such as the hybrid closed form's below ``sigma1_sq = 1/(2 pi e)``, is
+recorded and printed as one ``<prog>: warning: <message>`` line before any
+error line; it changes neither the exit code nor the files.  A usage
+error, including an output directory that cannot be created, is reported
+before any file is written; ``region discrete`` resolves the directory
+after loading the channel and before its search.  Each command builds the
+text of every file before it writes the first; a file that cannot be
+written is a usage error too.
 
 Exit codes: 0 success, 1 verification or input-data failure (an
 ``fm-verify`` mismatch, an unusable channel file), 2 internal invariant
@@ -38,6 +42,7 @@ import math
 import os
 import random
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -475,12 +480,19 @@ def _cmd_fm_verify(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except ValidationError as exc:
-        failure = _Failure(EXIT_USAGE, str(exc))
-    except _Failure as exc:
-        failure = exc
+    failure = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.handler(args)
+        except ValidationError as exc:
+            failure = _Failure(EXIT_USAGE, str(exc))
+        except _Failure as exc:
+            failure = exc
+    for warning in caught:
+        print(f"{args.prog}: warning: {warning.message}", file=sys.stderr)
+    if failure is None:
+        return code
     for line in failure.args:
         print(f"{args.prog}: {failure.label}: {line}", file=sys.stderr)
     return failure.code

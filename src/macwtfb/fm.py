@@ -73,21 +73,25 @@ def as_rational(value) -> Fraction:
     )
 
 
+@dataclasses.dataclass(frozen=True, init=False)
 class LinearSystem:
     """A finite list of linear inequalities over named variables.
 
     Construct with inequalities given as ``(coefficients, relation, bound)``
-    triples where ``relation`` is ``"<="`` or ``">="``; everything is stored
-    internally as normalized ``<=`` rows.  The row list is kept sorted, so
-    two systems with the same feasible description compare equal.
+    triples where ``relation`` is ``"<="`` or ``">="``, every coefficient is
+    an ``int`` and the bound is an int, float or ``Fraction``; everything is
+    stored as normalized ``<=`` rows.  The row list is kept sorted, so two
+    systems with the same feasible description compare equal.  Instances
+    are immutable and hashable.
     """
 
-    __slots__ = ("variable_names", "rows")
+    variable_names: tuple[str, ...]
+    rows: tuple[Row, ...]
 
     def __init__(
         self,
         variable_names: Sequence[str],
-        inequalities: Iterable[tuple[Sequence, str, object]],
+        inequalities: Iterable[tuple[Sequence[int], str, object]],
     ) -> None:
         names = tuple(variable_names)
         if not names:
@@ -95,25 +99,24 @@ class LinearSystem:
         if len(set(names)) != len(names):
             raise ValidationError("variable names must be distinct")
         rows = []
-        for coeffs, relation, bound in inequalities:
-            vec = [as_rational(c) for c in coeffs]
+        for index, (coeffs, relation, bound) in enumerate(inequalities):
+            vec = tuple(coeffs)
             if len(vec) != len(names):
                 raise ValidationError(
                     "coefficient vector has length %d, expected %d"
                     % (len(vec), len(names))
                 )
+            if not all(isinstance(c, int) for c in vec):
+                raise ValidationError("row %d has a non-integer coefficient: %r" % (index, vec))
             b = as_rational(bound)
             if relation == ">=":
-                vec = [-c for c in vec]
+                vec = tuple(-c for c in vec)
                 b = -b
             elif relation != "<=":
                 raise ValidationError("relation must be '<=' or '>=', got %r" % relation)
             rows.append(_canonical_row(vec, b))
         object.__setattr__(self, "variable_names", names)
         object.__setattr__(self, "rows", _normalize(len(names), rows))
-
-    def __setattr__(self, name, value):  # immutable after construction
-        raise AttributeError("LinearSystem is immutable")
 
     @classmethod
     def _from_rows(cls, names: tuple[str, ...], rows: tuple[Row, ...]) -> "LinearSystem":
@@ -126,17 +129,6 @@ class LinearSystem:
     def is_infeasible(self) -> bool:
         """True when normalization surfaced a contradictory constant row."""
         return any(not any(c) and b < 0 for c, b in self.rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearSystem):
-            return NotImplemented
-        return self.variable_names == other.variable_names and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.variable_names, self.rows))
-
-    def __repr__(self) -> str:
-        return "LinearSystem(%r, %d rows)" % (list(self.variable_names), len(self.rows))
 
 
 def eliminate(system: LinearSystem, drop_variable: str) -> LinearSystem:
@@ -169,7 +161,7 @@ def eliminate(system: LinearSystem, drop_variable: str) -> LinearSystem:
     for wu, ru, bu in upper:
         for wl, rl, bl in lower:
             combo = tuple(wl * u + wu * l for u, l in zip(ru, rl))
-            rows.append(_canonical_int_row(combo, wl * bu + wu * bl))
+            rows.append(_canonical_row(combo, wl * bu + wu * bl))
     return LinearSystem._from_rows(names, _normalize(len(names), rows))
 
 
@@ -262,8 +254,9 @@ def exact_vertices(system: LinearSystem) -> tuple[tuple[Fraction, Fraction], ...
     feasible ones are reduced to extreme points by an exact convex hull.
     The result is ordered counterclockwise starting from the
     lexicographically smallest vertex, so equal regions give equal tuples.
-    An infeasible system yields the empty tuple.  The caller must ensure
-    boundedness (every system built in this module is bounded).
+    An infeasible system yields the empty tuple.  A feasible system that
+    is unbounded raises ``ValidationError`` naming a direction along which
+    it is unbounded (every system built in this module is bounded).
     """
     if len(system.variable_names) != 2:
         raise ValidationError(
@@ -273,6 +266,15 @@ def exact_vertices(system: LinearSystem) -> tuple[tuple[Fraction, Fraction], ...
     if system.is_infeasible:
         return ()
     rows = system.rows
+    # A nonzero recession direction of a plane polyhedron runs along some
+    # row's boundary line, or anywhere when there are no rows.
+    directions = [d for (c1, c2), _ in rows for d in ((-c2, c1), (c2, -c1))] or [(1, 0)]
+    for d in directions:
+        if all(c1 * d[0] + c2 * d[1] <= 0 for (c1, c2), _ in rows):
+            x, y = system.variable_names
+            if eliminate(eliminate(system, x), y).is_infeasible:
+                return ()
+            raise ValidationError("system is unbounded along direction %r" % (d,))
     points = set(_intersection_candidates([(c1, c2, b) for (c1, c2), b in rows], 0))
     feasible = [
         p for p in points
@@ -304,9 +306,8 @@ def verify_hybrid_region_projection(a, b, c, d, e) -> ProjectionCheck:
     Any float input is rationalized first, so the comparison is a strict
     polygon equality, not a tolerance check.
     """
-    consts = tuple(as_rational(v) for v in (a, b, c, d, e))
-    projected = project_to(rate_splitting_system(*consts), ("R1", "R2"))
-    closed = hybrid_closed_form_system(*consts)
+    projected = project_to(rate_splitting_system(a, b, c, d, e), ("R1", "R2"))
+    closed = hybrid_closed_form_system(a, b, c, d, e)
     projected_vertices = exact_vertices(projected)
     closed_vertices = exact_vertices(closed)
     return ProjectionCheck(
@@ -326,18 +327,12 @@ def _information_constants(*values) -> list[Fraction]:
     return consts
 
 
-def _canonical_row(coeffs: Sequence[Fraction], bound: Fraction) -> Row:
-    scale = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    ints = tuple(int(c * scale) for c in coeffs)
-    return _canonical_int_row(ints, bound * scale)
-
-
-def _canonical_int_row(coeffs: tuple[int, ...], bound: Fraction) -> Row:
-    content = math.gcd(*coeffs) if coeffs else 0
+def _canonical_row(coeffs: tuple[int, ...], bound: Fraction) -> Row:
+    content = math.gcd(*coeffs)
     if content > 1:
         coeffs = tuple(c // content for c in coeffs)
-        bound = Fraction(bound) / content
-    return coeffs, Fraction(bound)
+        bound = bound / content
+    return coeffs, bound
 
 
 def _normalize(num_variables: int, rows: Iterable[Row]) -> tuple[Row, ...]:

@@ -22,7 +22,7 @@ from macwtfb.cli import (
     _fmt,
     main,
 )
-from macwtfb.gaussian import gaussian_outer_region
+from macwtfb.gaussian import gaussian_hybrid_region, gaussian_outer_region
 from macwtfb.info import ValidationError
 from macwtfb.regions import boundary_samples, region_from_halfspaces
 
@@ -465,6 +465,39 @@ def test_unwritable_output_file_is_usage_error(tmp_path, capsys, argv, prog, blo
     assert captured.err.splitlines() == [f"{prog}: error: cannot write '{tmp_path / blocked}': Is a directory"]
     assert "Traceback" not in captured.err
     assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == written
+
+
+ENTROPY_FLOOR_WARNING = (
+    "macwtfb region gaussian: warning: main-noise differential entropy is negative "
+    "(sigma1_sq=0.01 < 1/(2 pi e)); the hybrid sum bound is evaluated literally "
+    "and shrinks below decode-and-forward"
+)
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["written", "unwritable"])
+def test_python_warnings_become_one_warning_line(tmp_path, capsys, blocked):
+    # The warning is printed in the CLI's own format, before any error line;
+    # it changes neither the exit code nor the file, which holds the
+    # library's region.
+    target = tmp_path / "region_hybrid.csv"
+    if blocked:
+        target.mkdir()
+    argv = ["region", "gaussian", "--p1", "1", "--p2", "1", "--sigma1sq", "0.01", "--sigma2sq", "1"]
+    code = main([*argv, "--bounds", "hybrid", "--output-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert lines[0] == ENTROPY_FLOOR_WARNING
+    assert "RuntimeWarning" not in captured.err and "cli.py" not in captured.err
+    if blocked:
+        assert code == EXIT_USAGE
+        assert lines[1:] == [f"macwtfb region gaussian: error: cannot write '{target}': Is a directory"]
+        return
+    assert code == EXIT_OK and lines == [ENTROPY_FLOOR_WARNING]
+    with pytest.warns(RuntimeWarning, match="evaluated literally"):
+        region = gaussian_hybrid_region(GaussianMacWt(1.0, 1.0, 0.01, 1.0))
+    _, rows = read_rows(target)
+    vertex_rows = [r for r in rows if r[0] == "vertex"]
+    assert [(r[2], r[3]) for r in vertex_rows] == [(_fmt(x), _fmt(y)) for x, y in region.vertices]
 
 
 def test_region_texts_are_built_before_any_file_is_written(tmp_path, capsys, monkeypatch):

@@ -76,11 +76,25 @@ def test_satisfied_constant_rows_are_dropped():
     assert s.rows == (((1,), F(1)),)
 
 
+@pytest.mark.parametrize("coefficient", [0.5, F(1, 2), "1"], ids=["float", "fraction", "str"])
+def test_non_integer_coefficient_names_the_row(coefficient):
+    with pytest.raises(ValidationError, match="row 1 has a non-integer coefficient"):
+        LinearSystem(("x", "y"), [((1, 0), "<=", 1), ((coefficient, 1), "<=", 1)])
+
+
+def test_system_is_immutable():
+    s = LinearSystem(("x",), [((1,), "<=", 1)])
+    with pytest.raises(AttributeError):
+        s.rows = ()
+    assert s.rows == (((1,), F(1)),)
+
+
 # --- projection ------------------------------------------------------------------
 
 def test_keep_all_is_identity():
     s = LinearSystem(("x", "y"), [((1, 2), "<=", 3), ((0, 1), ">=", 0)])
     assert project_to(s, ("x", "y")) == s
+    assert hash(project_to(s, ("x", "y"))) == hash(s)
 
 
 def test_simplex_shadow():
@@ -275,6 +289,27 @@ def test_exact_vertices_requires_two_variables():
     s = LinearSystem(("x",), [((1,), "<=", 1)])
     with pytest.raises(ValidationError):
         exact_vertices(s)
+
+
+@pytest.mark.parametrize(
+    "rows, direction",
+    [
+        ([((1, 0), "<=", 1)], "(0, 1)"),
+        ([((1, 0), "<=", 1), ((0, 1), "<=", 1), ((1, 0), ">=", 0)], "(0, -1)"),
+    ],
+    ids=["half_plane", "strip"],
+)
+def test_exact_vertices_rejects_unbounded_systems(rows, direction):
+    s = LinearSystem(("x", "y"), rows)
+    with pytest.raises(ValidationError) as info:
+        exact_vertices(s)
+    assert str(info.value) == "system is unbounded along direction " + direction
+
+
+def test_exact_vertices_of_infeasible_unbounded_system_is_empty():
+    # y is free, but x <= -1 and x >= 0 leave no point at all.
+    s = LinearSystem(("x", "y"), [((1, 0), "<=", -1), ((1, 0), ">=", 0)])
+    assert exact_vertices(s) == ()
 
 
 small_rows = st.lists(
