@@ -335,7 +335,8 @@ def _ascend(
     Each move bumps one coordinate of one row by the current step (both
     signs tried), clips at zero and renormalizes the row; a move is kept
     when ``objective(*blocks)`` improves by more than 1e-15, and undone
-    otherwise.  The step never exceeds ``_INITIAL_STEP`` and every row sums
+    otherwise.  A move that leaves the row bit-for-bit unchanged is not
+    evaluated.  The step never exceeds ``_INITIAL_STEP`` and every row sums
     to 1, so a bumped row sums to at least 0.75.  Deterministic: no
     randomness beyond the initial blocks.
     """
@@ -351,6 +352,8 @@ def _ascend(
                         saved = row.copy()
                         row[i] = max(0.0, row[i] + sign * step)
                         row /= row.sum()
+                        if np.array_equal(row, saved):
+                            continue  # same blocks, same value: cannot pass the rule
                         value = objective(*blocks)
                         if value > best + 1e-15:
                             best = value

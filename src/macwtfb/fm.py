@@ -14,7 +14,9 @@ writes, not a copy of it.
 Every coefficient is an integer and every bound a ``fractions.Fraction``;
 no floating-point comparison occurs anywhere in this module.  Float inputs
 are rationalized once at the boundary with denominators capped at 2**32,
-an error far below every tolerance used elsewhere in the package.
+an error far below every tolerance used elsewhere in the package.  Vertex
+enumeration runs the polygon steps of ``regions``, which are generic over
+the number type and exact at tolerance 0.
 
 Rows are kept in a canonical normal form: the coefficient vector of each
 inequality ``coeffs . x <= bound`` is scaled to primitive integers (content
@@ -32,7 +34,7 @@ from typing import Iterable, Sequence
 
 from .channels import _hybrid_sum
 from .info import ValidationError
-from .regions import _hull_ccw, _intersection_candidates
+from .regions import _feasible_intersections, _hull_ccw, _recession_direction
 
 __all__ = [
     "LinearSystem",
@@ -252,6 +254,9 @@ def exact_vertices(system: LinearSystem) -> tuple[tuple[Fraction, Fraction], ...
 
     Candidate points are all pairwise boundary-line intersections; the
     feasible ones are reduced to extreme points by an exact convex hull.
+    The recession test, the feasibility filter and the hull are the ones
+    ``regions.region_from_halfspaces`` uses on floats, run here at
+    tolerance 0.
     The result is ordered counterclockwise starting from the
     lexicographically smallest vertex, so equal regions give equal tuples.
     An infeasible system yields the empty tuple.  A feasible system that
@@ -265,24 +270,14 @@ def exact_vertices(system: LinearSystem) -> tuple[tuple[Fraction, Fraction], ...
         )
     if system.is_infeasible:
         return ()
-    rows = system.rows
-    # A nonzero recession direction of a plane polyhedron runs along some
-    # row's boundary line, or anywhere when there are no rows.
-    directions = [d for (c1, c2), _ in rows for d in ((-c2, c1), (c2, -c1))] or [(1, 0)]
-    for d in directions:
-        if all(c1 * d[0] + c2 * d[1] <= 0 for (c1, c2), _ in rows):
-            x, y = system.variable_names
-            if eliminate(eliminate(system, x), y).is_infeasible:
-                return ()
-            raise ValidationError("system is unbounded along direction %r" % (d,))
-    points = set(_intersection_candidates([(c1, c2, b) for (c1, c2), b in rows], 0))
-    feasible = [
-        p for p in points
-        if all(c[0] * p[0] + c[1] * p[1] <= b for c, b in rows)
-    ]
-    if not feasible:
-        return ()
-    return tuple(_hull_ccw(feasible, 0))
+    lines = [(c1, c2, b) for (c1, c2), b in system.rows]
+    direction = _recession_direction(lines, det_tol=0)
+    if direction is not None:
+        x, y = system.variable_names
+        if eliminate(eliminate(system, x), y).is_infeasible:
+            return ()
+        raise ValidationError("system is unbounded along direction %r" % (direction,))
+    return tuple(_hull_ccw(_feasible_intersections(lines, tol=0, det_tol=0), 0))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,6 +8,13 @@ halfspaces that are not tight anywhere are dropped. The empty intersection
 canonicalizes to the degenerate region {(0, 0)}.
 
 All comparisons use the absolute tolerance TOL = 1e-9.
+
+The vertex-enumeration steps are written once, generic over the number
+type: the recession-direction test (``_recession_direction``), the
+feasible pairwise intersections (``_feasible_intersections``) and the
+convex hull (``_hull_ccw``).  ``region_from_halfspaces`` calls them on
+floats at ``TOL``; ``fm.exact_vertices`` calls them on integer
+coefficients and ``Fraction`` bounds at tolerance 0.
 """
 
 from __future__ import annotations
@@ -88,16 +95,17 @@ def _coerce(halfspaces) -> list[Halfspace]:
 
 
 def _canonical_rows(halfspaces: list[Halfspace]):
-    """Scale to max(|c1|,|c2|) = 1, drop trivial rows, merge duplicates.
+    """Scale to max(|c1|,|c2|) = 1, drop all-zero rows, merge duplicates.
 
     Returns (rows, infeasible) where rows is a list of (c1, c2, bound) and
-    infeasible marks a 0 <= negative row.
+    infeasible marks a 0 <= negative row.  Only an exactly zero coefficient
+    pair is a constant row: a tiny nonzero pair still bounds the region.
     """
     merged: dict[tuple[float, float], float] = {}
     infeasible = False
     for h in halfspaces:
         scale = max(abs(h.coeff_r1), abs(h.coeff_r2))
-        if scale <= TOL:
+        if scale == 0.0:
             if h.bound < -TOL:
                 infeasible = True
             continue
@@ -109,31 +117,34 @@ def _canonical_rows(halfspaces: list[Halfspace]):
     return rows, infeasible
 
 
-def _recession_direction(rows) -> tuple[float, float] | None:
-    """A nonzero quadrant direction along which every constraint stays satisfied."""
-    candidates = [(1.0, 0.0), (0.0, 1.0)]
-    for c1, c2, _ in rows:
-        for d in ((-c2, c1), (c2, -c1)):
-            n = math.hypot(*d)
-            if n <= TOL:
-                continue
-            u = (d[0] / n, d[1] / n)
-            if u[0] >= -1e-12 and u[1] >= -1e-12:
-                candidates.append((max(u[0], 0.0), max(u[1], 0.0)))
-    for u in candidates:
-        if all(c1 * u[0] + c2 * u[1] <= 1e-12 for c1, c2, _ in rows):
-            return u
+def _recession_direction(lines, det_tol=_DET_TOL) -> tuple | None:
+    """A nonzero direction d with c1*d[0] + c2*d[1] <= det_tol on every line.
+
+    A recession direction of a plane polyhedron runs along the boundary of
+    one of its constraints, so ``±(-c2, c1)`` of every line are the only
+    candidates, or ``(1, 0)`` when there are no lines.  None means a
+    nonempty intersection is bounded; an empty one may still have a
+    direction.  Generic over the number type like
+    ``_feasible_intersections``.
+    """
+    candidates = [d for c1, c2, _ in lines for d in ((-c2, c1), (c2, -c1))] or [(1, 0)]
+    for d in candidates:
+        if all(c1 * d[0] + c2 * d[1] <= det_tol for c1, c2, _ in lines):
+            return d
     return None
 
 
-def _intersection_candidates(lines, det_tol=_DET_TOL) -> list[tuple]:
-    """Pairwise intersections of the lines c1*x + c2*y = b, in pair order.
+def _feasible_intersections(lines, tol=TOL, det_tol=_DET_TOL) -> list[tuple]:
+    """Pairwise intersections of the lines c1*x + c2*y = b that satisfy
+    every c1*x + c2*y <= b within ``tol``, in first-seen pair order.
 
     Generic over the number type: pairs whose determinant is within
-    ``det_tol`` of zero are skipped, so ``det_tol=0`` with integer
-    coefficients and ``Fraction`` bounds gives exact rational points.
+    ``det_tol`` of zero are skipped and repeated points are tested once,
+    so ``tol=0, det_tol=0`` with integer coefficients and ``Fraction``
+    bounds gives the exact rational vertex candidates.
     """
-    pts = []
+    relaxed = [(c1, c2, b + tol) for c1, c2, b in lines]
+    feasible: dict[tuple, bool] = {}  # keyed in first-seen order
     for i in range(len(lines)):
         a1, a2, b1 = lines[i]
         for j in range(i + 1, len(lines)):
@@ -141,15 +152,10 @@ def _intersection_candidates(lines, det_tol=_DET_TOL) -> list[tuple]:
             det = a1 * c2 - a2 * c1
             if abs(det) <= det_tol:
                 continue
-            pts.append(((b1 * c2 - b2 * a2) / det, (a1 * b2 - b1 * c1) / det))
-    return pts
-
-
-def _feasible(point, rows, tol=TOL) -> bool:
-    x, y = point
-    if x < -tol or y < -tol:
-        return False
-    return all(c1 * x + c2 * y <= b + tol for c1, c2, b in rows)
+            p = ((b1 * c2 - b2 * a2) / det, (a1 * b2 - b1 * c1) / det)
+            if p not in feasible:
+                feasible[p] = all(r1 * p[0] + r2 * p[1] <= r for r1, r2, r in relaxed)
+    return [p for p, ok in feasible.items() if ok]
 
 
 def _dedupe(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -202,12 +208,13 @@ def region_from_halfspaces(halfspaces: Iterable) -> RateRegion:
         return _degenerate()
 
     lines = rows + [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
-    candidates = [p for p in _intersection_candidates(lines) if _feasible(p, rows)]
+    candidates = _feasible_intersections(lines)
     if not candidates:
         return _degenerate()
 
-    direction = _recession_direction(rows)
+    direction = _recession_direction(lines)
     if direction is not None:
+        direction = (direction[0] + 0.0, direction[1] + 0.0)  # no negative zero
         raise ValidationError(
             f"halfspace intersection is unbounded along direction {direction}"
         )

@@ -276,6 +276,20 @@ def test_search_blocks_keep_their_shapes_and_stay_on_the_simplex(k, n1, n2, rest
         assert np.array_equal(block, np.full_like(block, 1.0 / n))
 
 
+def test_ascent_skips_moves_that_leave_the_row_unchanged():
+    # A one-letter row renormalizes back to [1.0] after every bump, so no
+    # trial move changes the blocks and only the starting point is scored.
+    calls = []
+
+    def counting(block):
+        calls.append(None)
+        return 0.0
+
+    config = SearchConfig(restarts=1, refinement_iterations=5)
+    _best_of_restarts([(1, 1)], (9,), counting, config)
+    assert len(calls) == 1
+
+
 # --- single-user rates -----------------------------------------------------------------
 
 def test_wyner_zero_when_exposed():

@@ -331,6 +331,32 @@ def test_exact_vertices_agree_with_float_region(rows, cap1, cap2, cap_bound):
         assert ex == pytest.approx(fx, abs=1e-9) and ey == pytest.approx(fy, abs=1e-9)
 
 
+def _vertices_or_unbounded(build):
+    try:
+        return build()
+    except ValidationError as error:
+        assert "unbounded" in str(error)
+        return "unbounded"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-6, 6)), max_size=4))
+def test_float_and_exact_paths_agree_on_each_verdict(rows):
+    # No cap row: the system may be empty, a point, a polygon or unbounded.
+    # Vertex order is not compared: two vertices with the same exact R1 can
+    # round to different floats, which moves the float polygon's start.
+    quadrant = [(-1, 0, 0), (0, -1, 0)]
+    system = LinearSystem(("R1", "R2"), [((c1, c2), "<=", b) for c1, c2, b in rows + quadrant])
+    exact = _vertices_or_unbounded(lambda: exact_vertices(system))
+    floats = _vertices_or_unbounded(lambda: region_from_halfspaces(rows))
+    if exact == "unbounded" or floats == "unbounded":
+        assert exact == floats
+    elif exact == ():
+        assert floats.is_degenerate
+    else:
+        assert len(exact) == len(floats.vertices)
+
+
 sixty_fourths = st.integers(0, 256).map(lambda k: k / 64)
 
 

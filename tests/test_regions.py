@@ -77,10 +77,23 @@ def test_triangle():
 def test_unbounded_raises():
     with pytest.raises(ValidationError, match="unbounded"):
         region_from_halfspaces([])
-    with pytest.raises(ValidationError, match="unbounded"):
+    with pytest.raises(ValidationError, match="unbounded") as info:
         region_from_halfspaces([(1, 0, 1)])  # R2 free
+    # the direction prints without a negative zero
+    assert str(info.value) == "halfspace intersection is unbounded along direction (0.0, 1.0)"
     with pytest.raises(ValidationError, match="unbounded"):
         region_from_halfspaces([(-1, -1, -1)])  # R1 + R2 >= 1, quadrant cone open
+
+
+def test_tiny_coefficient_rows_still_bound_the_region():
+    # Only an all-zero row is a constant row; -1e-10 R1 <= -1 is R1 >= 1e10.
+    def coords(region):
+        return [c for v in region.vertices for c in v]
+
+    r = region_from_halfspaces([(-1e-10, 0, -1), (1, 0, 2e10), (0, 1, 1)])
+    assert coords(r) == pytest.approx([1e10, 0, 2e10, 0, 2e10, 1, 1e10, 1])
+    r = region_from_halfspaces([(1e-10, 0, 5), (0, 1, 1)])
+    assert coords(r) == pytest.approx([0, 0, 5e10, 0, 5e10, 1, 0, 1])
 
 
 def test_idempotent_reconstruction():
