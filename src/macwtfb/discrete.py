@@ -5,14 +5,22 @@ outer bound is a conditional entropy maximized over arbitrary joint input
 laws.  None of the objectives is concave, so every maximization here is a
 seeded multi-start projected coordinate ascent on simplex blocks: honest,
 reproducible lower bounds on the true suprema.  Results are deterministic
-functions of the kernel, the configuration and the seed; restarts are
-independent and merged in seed order, so a concurrent execution would have
-to produce the identical output.
+functions of the kernel, the configuration and the seed.
+
+The restarts run in lockstep.  A *lane* is one independent ascent, one
+(objective, restart) pair: ``search_inner`` has three objectives times R
+restarts per auxiliary cardinality, the other searches R lanes.  All lanes
+walk the same sequence of trial moves, each with its own step, stall count
+and stop, and one batched evaluation scores every lane a move changes.
+Lanes never interact and the batched evaluation gives each lane the bits a
+one-law evaluation would give, so every lane ends exactly where its restart
+would end alone, and the winners are merged in restart order.
 
 Single-letter quantities for one input law come from the channels module;
-the search loop uses a private einsum evaluation of the same expressions
-that is pinned to the public one by the test suite.  The sum-rate formulas
-come from the channels module too, the one place they are written.  The
+the search loop uses a private batched einsum evaluation of the same
+expressions that is pinned to the public one by the test suite.  The
+sum-rate formulas come from the channels module too, the one place they are
+written, and score each lane on Python floats.  The
 single-user rates are not separate formulas: they are the two-user sum caps
 of a kernel whose second transmitter has a one-letter alphabet and whose
 auxiliary is constant, so Wyner's I(X;Y) - I(X;Z) is the decode-and-forward
@@ -23,7 +31,6 @@ hybrid cap.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,7 +146,8 @@ def search_inner(
 
     For every auxiliary cardinality up to the configured maximum, three
     objectives are maximized separately (the sum bound and the two corner
-    rates), each with seeded random restarts around a uniform start.  The
+    rates), each with seeded random restarts around a uniform start; the
+    restarts of all three run in lockstep.  The
     distinct local maxima are reduced to the nondominated set, and the hull
     of their union is the time-sharing region.
     """
@@ -156,15 +164,15 @@ def search_inner(
     ]
     w = kernel.transition
     n1, n2 = kernel.x1_size, kernel.x2_size
+
+    def objective(ids: np.ndarray, u: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> list[float]:
+        return _scores(scores, ids, _factorized_quantities(w, u[:, 0], x1, x2))
+
     found: list[tuple[InputFactorization, RateRegion]] = []
     for u_size in range(1, config.u_cardinality_max + 1):
-        for score_id, score in enumerate(scores):
-            _, (u, x1, x2) = _best_of_restarts(
-                [(1, u_size), (u_size, n1), (u_size, n2)],
-                (_INNER_STREAM, kind_id, u_size, score_id),
-                lambda u, x1, x2: score(*_factorized_quantities(w, u[0], x1, x2)),
-                config,
-            )
+        streams = [(_INNER_STREAM, kind_id, u_size, score_id) for score_id in range(len(scores))]
+        shapes = [(1, u_size), (u_size, n1), (u_size, n2)]
+        for _, (u, x1, x2) in _best_of_restarts(shapes, streams, objective, config):
             fact = InputFactorization(u[0], x1, x2)
             found.append((fact, region_of(info_quantities(kernel, fact))))
     kept = _nondominated(found)
@@ -183,14 +191,15 @@ def search_outer(
     constant.  The first restart starts at the uniform joint, so the
     result never falls below the uniform-input value.
     """
-    w = kernel.transition
     n1, n2 = kernel.x1_size, kernel.x2_size
+    w = kernel.transition.reshape(n1 * n2, kernel.y_size, kernel.z_size)
 
-    def objective(p: np.ndarray) -> float:
-        p_yz = np.einsum("q,qyz->yz", p[0], w.reshape(n1 * n2, kernel.y_size, kernel.z_size))
-        return _entropy_bits(p_yz) - _entropy_bits(p_yz.sum(axis=0))
+    def objective(ids: np.ndarray, p: np.ndarray) -> np.ndarray:
+        p_yz = np.einsum("lq,qyz->lyz", p[:, 0], w)
+        h = _entropy_bits(p_yz, p_yz.sum(axis=1))
+        return h[0] - h[1]
 
-    _, (p,) = _best_of_restarts([(1, n1 * n2)], (_OUTER_STREAM,), objective, config)
+    ((_, (p,)),) = _best_of_restarts([(1, n1 * n2)], [(_OUTER_STREAM,)], objective, config)
     joint = JointDist(p.reshape(n1, n2))
     return joint, sato_outer_for_joint(kernel, np.asarray(joint.mass))
 
@@ -242,132 +251,180 @@ _BOUNDS = {
 _BOUND_KINDS = tuple(_BOUNDS)
 
 
-def _entropy_bits(mass: np.ndarray) -> float:
-    positive = mass[mass > 0.0]
-    if positive.size == 0:
-        return 0.0
-    return float(-(positive * np.log2(positive)).sum())
+def _entropy_bits(*masses: np.ndarray) -> np.ndarray:
+    """Entropy in bits of every lane of each mass array: row t of the
+    result holds the entropies of ``masses[t][lane]`` for every lane.
 
-
-def _clamp(value: float) -> float:
-    return value if value > 0.0 else 0.0
+    Each lane's value equals, bit for bit, the sum of that lane's positive
+    terms ``p log2 p`` added up as one 1-D array.  numpy adds 8 or more
+    entries in 8 running sums and splits arrays longer than 128, so zero
+    terms left in place would change the grouping: every row's positive
+    terms move to its front in order, and the rows with k positive terms
+    are summed over their first k columns by numpy's own row reduction.
+    """
+    lanes = len(masses[0])
+    width = max(mass[0].size for mass in masses)
+    flat = np.zeros((len(masses) * lanes, width))
+    for t, mass in enumerate(masses):
+        flat[t * lanes:(t + 1) * lanes, :mass[0].size] = mass.reshape(lanes, -1)
+    positive = flat > 0.0
+    counts = positive.sum(axis=1)
+    terms = flat[positive]
+    terms *= np.log2(terms)
+    # Row i now holds its terms in its first counts[i] columns; the columns
+    # after them are stale and never read.  No second padded buffer.
+    flat[np.arange(width) < counts[:, None]] = terms
+    order = np.argsort(counts, kind="stable")  # rows with equal k side by side
+    counts = counts[order]
+    edges = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), len(flat)]
+    entropies = np.zeros(len(flat))
+    for start, end in zip(edges, edges[1:]):
+        if counts[start]:  # a row without mass has entropy 0.0
+            rows = order[start:end]
+            entropies[rows] = -np.add.reduce(flat[rows, :counts[start]], axis=1)
+    return entropies.reshape(len(masses), lanes)
 
 
 def _factorized_quantities(
     w: np.ndarray, u: np.ndarray, x1: np.ndarray, x2: np.ndarray
-) -> tuple[float, float, float, float, float]:
-    """(a, b, c, d, e) for P(u)P(x1|u)P(x2|u); fast path of the public
-    info_quantities, kept numerically equivalent by the test suite."""
-    joint = np.einsum("i,ia,ib,abyz->iabyz", u, x1, x2, w)
-    p_uaby = joint.sum(axis=4)
-    p_uab = p_uaby.sum(axis=3)
-    p_uay = p_uaby.sum(axis=2)
-    p_uby = p_uaby.sum(axis=1)
-    p_ua = p_uab.sum(axis=2)
-    p_ub = p_uab.sum(axis=1)
-    p_abyz = joint.sum(axis=0)
-    p_aby = p_uaby.sum(axis=0)
-    p_ab = p_uab.sum(axis=0)
-    p_abz = p_abyz.sum(axis=2)
-    h_y_given_all = _entropy_bits(p_uaby) - _entropy_bits(p_uab)
-    a = _clamp(_entropy_bits(p_uby) - _entropy_bits(p_ub) - h_y_given_all)
-    b = _clamp(_entropy_bits(p_uay) - _entropy_bits(p_ua) - h_y_given_all)
-    c = _clamp(
-        _entropy_bits(p_aby.sum(axis=(0, 1)))
-        - (_entropy_bits(p_aby) - _entropy_bits(p_ab))
+) -> tuple[np.ndarray, ...]:
+    """(a, b, c, d, e) of every lane's law P(u)P(x1|u)P(x2|u), as five
+    arrays over the lanes; ``u`` is (L, |U|), ``x1`` (L, |U|, |X1|) and
+    ``x2`` (L, |U|, |X2|).  Fast path of the public info_quantities, kept
+    numerically equivalent by the test suite."""
+    joint = np.einsum("li,lia,lib,abyz->liabyz", u, x1, x2, w)
+    p_uaby = joint.sum(axis=5)
+    p_uab = p_uaby.sum(axis=4)
+    p_abyz = joint.sum(axis=1)
+    p_aby = p_uaby.sum(axis=1)
+    p_abz = p_abyz.sum(axis=3)
+    h = _entropy_bits(
+        p_uaby, p_uab,  # (U, X1, X2, Y), (U, X1, X2)
+        p_uaby.sum(axis=2), p_uab.sum(axis=2),  # (U, X2, Y), (U, X2)
+        p_uaby.sum(axis=3), p_uab.sum(axis=3),  # (U, X1, Y), (U, X1)
+        p_aby.sum(axis=(1, 2)), p_aby, p_uab.sum(axis=1),  # Y, (X1, X2, Y), (X1, X2)
+        p_abz.sum(axis=(1, 2)), p_abz, p_abyz,  # Z, (X1, X2, Z), (X1, X2, Y, Z)
     )
-    d = _clamp(
-        _entropy_bits(p_abz.sum(axis=(0, 1)))
-        - (_entropy_bits(p_abz) - _entropy_bits(p_ab))
-    )
-    e = _clamp(_entropy_bits(p_abyz) - _entropy_bits(p_abz))
-    return a, b, c, d, e
+    h_y_given_all = h[0] - h[1]
+    a = h[2] - h[3] - h_y_given_all
+    b = h[4] - h[5] - h_y_given_all
+    c = h[6] - (h[7] - h[8])
+    d = h[9] - (h[10] - h[8])
+    e = h[11] - h[10]
+    return tuple(np.where(q > 0.0, q, 0.0) for q in (a, b, c, d, e))  # clamped at 0
+
+
+def _scores(scores: Sequence[Callable], ids: np.ndarray, quantities) -> list[float]:
+    """Lane j's value ``scores[ids[j]](a, b, c, d, e)``, on Python floats."""
+    rows = zip(*(q.tolist() for q in quantities))
+    return [scores[i](*q) for i, q in zip(ids.tolist(), rows)]
 
 
 def _single_user_search(kernel: WiretapKernel, config: SearchConfig, sum_score: Callable) -> float:
     # The single transmitter is X1 of a two-user kernel whose X2 alphabet
     # has one letter; the auxiliary is constant.
     w = kernel.transition[:, None]
-    u, x2 = np.ones(1), np.ones((1, 1))
 
-    def objective(x: np.ndarray) -> float:
-        return sum_score(*_factorized_quantities(w, u, x, x2))
+    def objective(ids: np.ndarray, x: np.ndarray) -> list[float]:
+        ones = np.ones((len(x), 1))
+        return _scores([sum_score], ids, _factorized_quantities(w, ones, x, ones[:, :, None]))
 
-    best, _ = _best_of_restarts([(1, kernel.x_size)], (_SINGLE_STREAM,), objective, config)
+    ((best, _),) = _best_of_restarts(
+        [(1, kernel.x_size)], [(_SINGLE_STREAM,)], objective, config
+    )
     return best
 
 
 def _best_of_restarts(
     shapes: Sequence[tuple[int, int]],
-    stream: tuple[int, ...],
-    objective: Callable[..., float],
+    streams: Sequence[tuple[int, ...]],
+    objective: Callable[..., Sequence[float]],
     config: SearchConfig,
-) -> tuple[float, list[np.ndarray]]:
-    """Best value and blocks over the seeded restarts of one objective.
+) -> list[tuple[float, list[np.ndarray]]]:
+    """Best value and blocks of each objective over its seeded restarts,
+    one pair per stream, all restarts run in lockstep.
 
     Each ``(k, n)`` in ``shapes`` is a block of k rows, each row a law on n
-    letters, and the objective scores ``objective(*blocks)``.  Restart 0
-    starts from uniform rows; restart ``r > 0`` draws every row from a flat
-    Dirichlet, block by block and row by row, with the generator keyed
-    ``(seed, *stream, r)``, so it does not depend on how many restarts run.
-    Ties keep the earlier restart.
+    letters.  A *lane* is one (objective, restart) pair: lane ``s * R + r``
+    ascends objective s (keyed ``streams[s]``) from restart r's start, for
+    R = ``config.restarts``.  Restart 0 starts from uniform rows; restart
+    ``r > 0`` draws every row from a flat Dirichlet, block by block and row
+    by row, with the generator keyed ``(seed, *streams[s], r)``, so it does
+    not depend on how many restarts run.  ``objective(ids, *blocks)`` scores
+    a batch of lanes: ``ids`` holds each lane's objective index and block
+    ``(k, n)`` arrives as one ``(lanes, k, n)`` array; it returns one value
+    per lane.  Lanes do not interact, so each one ends exactly where its
+    restart would end alone.  Ties keep the earlier restart.
     """
-    best_value = -math.inf
-    best_blocks = None
-    for restart in range(config.restarts):
-        if restart == 0:
-            blocks = [np.full((k, n), 1.0 / n) for k, n in shapes]
-        else:
+    restarts = config.restarts
+    starts = []
+    for stream in streams:
+        starts.append([np.full((k, n), 1.0 / n) for k, n in shapes])
+        for restart in range(1, restarts):
             rng = np.random.default_rng((config.seed, *stream, restart))
-            blocks = [rng.dirichlet(np.ones(n), size=k) for k, n in shapes]
-        value = _ascend(blocks, objective, config)
-        if value > best_value:
-            best_value = value
-            best_blocks = blocks
-    return best_value, best_blocks
+            starts.append([rng.dirichlet(np.ones(n), size=k) for k, n in shapes])
+    blocks = [np.stack(block) for block in zip(*starts)]
+    values = _ascend(blocks, np.repeat(np.arange(len(streams)), restarts), objective, config)
+    best = []
+    for first in range(0, len(values), restarts):
+        lane = first + int(np.argmax(values[first:first + restarts]))
+        best.append((float(values[lane]), [block[lane] for block in blocks]))
+    return best
 
 
 def _ascend(
-    blocks: list[np.ndarray], objective: Callable[..., float], config: SearchConfig
-) -> float:
-    """Projected coordinate ascent over the rows of the blocks, in place.
+    blocks: list[np.ndarray],
+    ids: np.ndarray,
+    objective: Callable[..., Sequence[float]],
+    config: SearchConfig,
+) -> np.ndarray:
+    """Projected coordinate ascent of every lane over the rows of its
+    blocks, in place; returns each lane's best value.
 
-    Each move bumps one coordinate of one row by the current step (both
-    signs tried), clips at zero and renormalizes the row; a move is kept
-    when ``objective(*blocks)`` improves by more than 1e-15, and undone
-    otherwise.  A move that leaves the row bit-for-bit unchanged is not
-    evaluated.  The step never exceeds ``_INITIAL_STEP`` and every row sums
-    to 1, so a bumped row sums to at least 0.75.  Deterministic: no
-    randomness beyond the initial blocks.
+    All lanes walk the same sequence of trial moves.  Each move bumps one
+    coordinate of one row by the lane's current step (both signs tried),
+    clips at zero and renormalizes the row; one objective call scores every
+    lane the move changes, and a lane keeps the move when its value
+    improves by more than 1e-15.  A lane is not moved once it has stopped
+    or when its bumped row is bit-for-bit unchanged; when no lane moves,
+    nothing is scored.  Each lane has its own step, stall counter and stop:
+    the step starts at ``_INITIAL_STEP`` and halves after every
+    ``_DECAY_PATIENCE`` sweeps without improvement, and a lane stops after
+    three such windows.  The step never exceeds ``_INITIAL_STEP`` and every
+    row sums to 1, so a bumped row sums to at least 0.75.  Deterministic:
+    no randomness beyond the initial blocks.
     """
-    best = objective(*blocks)
-    step = _INITIAL_STEP
-    stalled = 0
+    best = np.asarray(objective(ids, *blocks), dtype=float)
+    step = np.full(len(ids), _INITIAL_STEP)
+    stalled = np.zeros(len(ids), dtype=int)
+    live = np.ones(len(ids), dtype=bool)
     for _ in range(config.refinement_iterations):
-        improved = False
+        improved = np.zeros(len(ids), dtype=bool)
         for block in blocks:
-            for row in block:
-                for i in range(row.size):
+            for row in range(block.shape[1]):
+                for i in range(block.shape[2]):
                     for sign in (1.0, -1.0):
-                        saved = row.copy()
-                        row[i] = max(0.0, row[i] + sign * step)
-                        row /= row.sum()
-                        if np.array_equal(row, saved):
-                            continue  # same blocks, same value: cannot pass the rule
-                        value = objective(*blocks)
-                        if value > best + 1e-15:
-                            best = value
-                            improved = True
-                        else:
-                            row[:] = saved
-        if improved:
-            stalled = 0
-            continue
-        stalled += 1
-        if stalled >= 3 * _DECAY_PATIENCE:
+                        saved = block[:, row].copy()
+                        trial = saved.copy()
+                        bumped = trial[:, i] + sign * step
+                        trial[:, i] = np.where(bumped > 0.0, bumped, 0.0)
+                        trial /= trial.sum(axis=1, keepdims=True)
+                        moved = np.flatnonzero(live & (trial != saved).any(axis=1))
+                        if moved.size == 0:
+                            continue  # same blocks, same values: no lane can pass the rule
+                        block[moved, row] = trial[moved]
+                        value = np.asarray(
+                            objective(ids[moved], *(b[moved] for b in blocks)), dtype=float
+                        )
+                        kept = value > best[moved] + 1e-15
+                        best[moved[kept]] = value[kept]
+                        improved[moved[kept]] = True
+                        block[moved[~kept], row] = saved[moved[~kept]]
+        stalled = np.where(improved, 0, stalled + 1)
+        live &= stalled < 3 * _DECAY_PATIENCE
+        step = np.where(live & ~improved & (stalled % _DECAY_PATIENCE == 0), step * _STEP_DECAY, step)
+        if not live.any():
             break
-        if stalled % _DECAY_PATIENCE == 0:
-            step *= _STEP_DECAY
     return best
 
 

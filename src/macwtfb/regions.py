@@ -99,7 +99,8 @@ def _canonical_rows(halfspaces: list[Halfspace]):
 
     Returns (rows, infeasible) where rows is a list of (c1, c2, bound) and
     infeasible marks a 0 <= negative row.  Only an exactly zero coefficient
-    pair is a constant row: a tiny nonzero pair still bounds the region.
+    pair is a constant row: a tiny nonzero pair still bounds the region,
+    unless its scaled bound overflows, which raises ValidationError.
     """
     merged: dict[tuple[float, float], float] = {}
     infeasible = False
@@ -110,6 +111,11 @@ def _canonical_rows(halfspaces: list[Halfspace]):
                 infeasible = True
             continue
         c1, c2, b = h.coeff_r1 / scale, h.coeff_r2 / scale, h.bound / scale
+        if not math.isfinite(b):
+            raise ValidationError(
+                f"halfspace ({h.coeff_r1!r}, {h.coeff_r2!r}, {h.bound!r}) bounds the "
+                "region only beyond the float range: its scaled bound overflows"
+            )
         key = (round(c1, 12), round(c2, 12))
         if key not in merged or b < merged[key]:
             merged[key] = b
@@ -219,7 +225,14 @@ def region_from_halfspaces(halfspaces: Iterable) -> RateRegion:
             f"halfspace intersection is unbounded along direction {direction}"
         )
 
-    verts = _hull_ccw(_dedupe([(max(p[0], 0.0), max(p[1], 0.0)) for p in candidates]))
+    # Clamping onto the quadrant can move a point that met a row only
+    # within TOL past it; such a point is no vertex of the region, or the
+    # region would not contain its own vertices.
+    clamped = [(max(p[0], 0.0), max(p[1], 0.0)) for p in candidates]
+    clamped = [p for p in clamped if all(c1 * p[0] + c2 * p[1] <= b + TOL for c1, c2, b in rows)]
+    if not clamped:
+        return _degenerate()
+    verts = _hull_ccw(_dedupe(clamped))
 
     kept = []
     for c1, c2, b in rows:

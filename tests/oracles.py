@@ -3,11 +3,22 @@
 ``grid_oracle`` maximizes the Gaussian sum rate by brute force, an
 independent check of the closed form in ``macwtfb.power.optimal_power``;
 ``uniform_factorization`` is the uniform input law of the discrete tests.
+
+The scalar search below is the discrete search as it was before its
+restarts ran in lockstep, kept verbatim as the reference that produced the
+pinned goldens: ``scalar_factorized_quantities`` scores one input law,
+``scalar_entropy_bits`` is its entropy, and ``sequential_best_of_restarts``
+runs the restarts of one objective one after another with
+``sequential_ascend``.  The batched search must match them bit for bit.
 """
+
+import math
+from typing import Callable, Sequence
 
 import numpy as np
 
 from macwtfb.channels import GaussianMacWt, InputFactorization
+from macwtfb.discrete import _DECAY_PATIENCE, _INITIAL_STEP, _STEP_DECAY, SearchConfig
 from macwtfb.info import ValidationError
 from macwtfb.power import _check_domain, _rate_of_total
 
@@ -41,3 +52,122 @@ def uniform_factorization(u_size: int, x1_size: int, x2_size: int) -> InputFacto
         np.full((u_size, x1_size), 1.0 / x1_size),
         np.full((u_size, x2_size), 1.0 / x2_size),
     )
+
+
+# --- the scalar discrete search, before lockstep ---------------------------------
+
+
+def scalar_entropy_bits(mass: np.ndarray) -> float:
+    positive = mass[mass > 0.0]
+    if positive.size == 0:
+        return 0.0
+    return float(-(positive * np.log2(positive)).sum())
+
+
+def _clamp(value: float) -> float:
+    return value if value > 0.0 else 0.0
+
+
+def scalar_factorized_quantities(
+    w: np.ndarray, u: np.ndarray, x1: np.ndarray, x2: np.ndarray
+) -> tuple[float, float, float, float, float]:
+    """(a, b, c, d, e) for P(u)P(x1|u)P(x2|u); fast path of the public
+    info_quantities, kept numerically equivalent by the test suite."""
+    joint = np.einsum("i,ia,ib,abyz->iabyz", u, x1, x2, w)
+    p_uaby = joint.sum(axis=4)
+    p_uab = p_uaby.sum(axis=3)
+    p_uay = p_uaby.sum(axis=2)
+    p_uby = p_uaby.sum(axis=1)
+    p_ua = p_uab.sum(axis=2)
+    p_ub = p_uab.sum(axis=1)
+    p_abyz = joint.sum(axis=0)
+    p_aby = p_uaby.sum(axis=0)
+    p_ab = p_uab.sum(axis=0)
+    p_abz = p_abyz.sum(axis=2)
+    h_y_given_all = scalar_entropy_bits(p_uaby) - scalar_entropy_bits(p_uab)
+    a = _clamp(scalar_entropy_bits(p_uby) - scalar_entropy_bits(p_ub) - h_y_given_all)
+    b = _clamp(scalar_entropy_bits(p_uay) - scalar_entropy_bits(p_ua) - h_y_given_all)
+    c = _clamp(
+        scalar_entropy_bits(p_aby.sum(axis=(0, 1)))
+        - (scalar_entropy_bits(p_aby) - scalar_entropy_bits(p_ab))
+    )
+    d = _clamp(
+        scalar_entropy_bits(p_abz.sum(axis=(0, 1)))
+        - (scalar_entropy_bits(p_abz) - scalar_entropy_bits(p_ab))
+    )
+    e = _clamp(scalar_entropy_bits(p_abyz) - scalar_entropy_bits(p_abz))
+    return a, b, c, d, e
+
+
+def sequential_best_of_restarts(
+    shapes: Sequence[tuple[int, int]],
+    stream: tuple[int, ...],
+    objective: Callable[..., float],
+    config: SearchConfig,
+) -> tuple[float, list[np.ndarray]]:
+    """Best value and blocks over the seeded restarts of one objective.
+
+    Each ``(k, n)`` in ``shapes`` is a block of k rows, each row a law on n
+    letters, and the objective scores ``objective(*blocks)``.  Restart 0
+    starts from uniform rows; restart ``r > 0`` draws every row from a flat
+    Dirichlet, block by block and row by row, with the generator keyed
+    ``(seed, *stream, r)``, so it does not depend on how many restarts run.
+    Ties keep the earlier restart.
+    """
+    best_value = -math.inf
+    best_blocks = None
+    for restart in range(config.restarts):
+        if restart == 0:
+            blocks = [np.full((k, n), 1.0 / n) for k, n in shapes]
+        else:
+            rng = np.random.default_rng((config.seed, *stream, restart))
+            blocks = [rng.dirichlet(np.ones(n), size=k) for k, n in shapes]
+        value = sequential_ascend(blocks, objective, config)
+        if value > best_value:
+            best_value = value
+            best_blocks = blocks
+    return best_value, best_blocks
+
+
+def sequential_ascend(
+    blocks: list[np.ndarray], objective: Callable[..., float], config: SearchConfig
+) -> float:
+    """Projected coordinate ascent over the rows of the blocks, in place.
+
+    Each move bumps one coordinate of one row by the current step (both
+    signs tried), clips at zero and renormalizes the row; a move is kept
+    when ``objective(*blocks)`` improves by more than 1e-15, and undone
+    otherwise.  A move that leaves the row bit-for-bit unchanged is not
+    evaluated.  The step never exceeds ``_INITIAL_STEP`` and every row sums
+    to 1, so a bumped row sums to at least 0.75.  Deterministic: no
+    randomness beyond the initial blocks.
+    """
+    best = objective(*blocks)
+    step = _INITIAL_STEP
+    stalled = 0
+    for _ in range(config.refinement_iterations):
+        improved = False
+        for block in blocks:
+            for row in block:
+                for i in range(row.size):
+                    for sign in (1.0, -1.0):
+                        saved = row.copy()
+                        row[i] = max(0.0, row[i] + sign * step)
+                        row /= row.sum()
+                        if np.array_equal(row, saved):
+                            continue  # same blocks, same value: cannot pass the rule
+                        value = objective(*blocks)
+                        if value > best + 1e-15:
+                            best = value
+                            improved = True
+                        else:
+                            row[:] = saved
+        if improved:
+            stalled = 0
+            continue
+        stalled += 1
+        if stalled >= 3 * _DECAY_PATIENCE:
+            break
+        if stalled % _DECAY_PATIENCE == 0:
+            step *= _STEP_DECAY
+    return best

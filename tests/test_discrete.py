@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macwtfb.channels import (
@@ -25,11 +25,17 @@ from macwtfb.discrete import (
     search_outer,
     wyner_capacity,
 )
-from macwtfb.discrete import _best_of_restarts, _factorized_quantities
+from macwtfb.discrete import _ascend, _best_of_restarts, _entropy_bits, _factorized_quantities
 from macwtfb.info import JointDist, ValidationError, conditional_entropy, mutual_information
 from macwtfb.regions import Halfspace, is_subset, region_from_halfspaces
 
-from oracles import uniform_factorization
+from oracles import (
+    scalar_entropy_bits,
+    scalar_factorized_quantities,
+    sequential_ascend,
+    sequential_best_of_restarts,
+    uniform_factorization,
+)
 
 H2_011 = 0.499915958164528  # binary entropy of 0.11, frozen at 30 digits
 
@@ -120,6 +126,7 @@ def test_hybrid_equals_df_without_key_material():
     st.floats(0.0, 2.0),
     st.floats(0.0, 2.0),
 )
+@example(a=1.0, b=2.2250738585072014e-308, c=0.0, d=1e-09, e=0.0)
 def test_df_inside_hybrid(a, b, c, d, e):
     q = quantities(a, b, c, d, e)
     assert is_subset(df_region_for_input(q), hybrid_region_for_input(q))
@@ -255,23 +262,31 @@ def test_more_restarts_never_lower_the_search(kernel_seed, k):
 )
 def test_search_blocks_keep_their_shapes_and_stay_on_the_simplex(k, n1, n2, restarts, iterations, seed):
     # Every row of every block is a distribution after each move, so a
-    # bumped row always sums to at least 1 - _INITIAL_STEP > 0.
+    # bumped row always sums to at least 1 - _INITIAL_STEP > 0.  Two
+    # objectives share the lanes; each returns its own winner.
     shapes = [(1, k), (k, n1), (k, n2)]
     rng = np.random.default_rng(seed)
-    weights = [rng.normal(size=shape) for shape in shapes]
+    weights = [[rng.normal(size=shape) for shape in shapes] for _ in range(2)]
     config = SearchConfig(restarts=restarts, refinement_iterations=iterations, seed=seed)
 
-    def linear(*blocks):
-        return float(sum((w * b).sum() for w, b in zip(weights, blocks)))
+    def linear(s, *blocks):
+        return float(sum((w * b).sum() for w, b in zip(weights[s], blocks)))
 
-    value, blocks = _best_of_restarts(shapes, (9,), linear, config)
-    assert [block.shape for block in blocks] == shapes
-    assert value == linear(*blocks)
-    for block in blocks:
-        assert (block >= 0.0).all()
-        np.testing.assert_allclose(block.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    def lanes(ids, *blocks):
+        return [linear(s, *(b[j] for b in blocks)) for j, s in enumerate(ids)]
+
+    best = _best_of_restarts(shapes, [(9,), (10,)], lanes, config)
+    assert len(best) == 2
+    for s, (value, blocks) in enumerate(best):
+        assert [block.shape for block in blocks] == shapes
+        assert value == linear(s, *blocks)
+        for block in blocks:
+            assert (block >= 0.0).all()
+            np.testing.assert_allclose(block.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
     # a constant objective accepts no move, so restart 0 stays uniform
-    _, flat = _best_of_restarts(shapes, (9,), lambda *blocks: 0.0, dataclasses.replace(config, restarts=1))
+    ((_, flat),) = _best_of_restarts(
+        shapes, [(9,)], lambda ids, *blocks: [0.0] * len(ids), dataclasses.replace(config, restarts=1)
+    )
     for block, (_, n) in zip(flat, shapes):
         assert np.array_equal(block, np.full_like(block, 1.0 / n))
 
@@ -281,13 +296,77 @@ def test_ascent_skips_moves_that_leave_the_row_unchanged():
     # trial move changes the blocks and only the starting point is scored.
     calls = []
 
-    def counting(block):
-        calls.append(None)
-        return 0.0
+    def counting(ids, block):
+        calls.append(len(ids))
+        return [0.0] * len(ids)
 
     config = SearchConfig(restarts=1, refinement_iterations=5)
-    _best_of_restarts([(1, 1)], (9,), counting, config)
-    assert len(calls) == 1
+    _best_of_restarts([(1, 1)], [(9,)], counting, config)
+    assert calls == [1]
+    # the lanes of every objective are scored by that one call
+    calls.clear()
+    _best_of_restarts([(1, 1)], [(9,), (10,), (11,)], counting, config)
+    assert calls == [3]
+
+
+def _bumpy_objectives(rng, shapes):
+    """Three objectives on which restarts climb, stall, halve their step
+    and stop on different sweeps: linear (a vertex is reached and every
+    later move fails), a concave quadratic with an interior peak (the step
+    keeps halving) and a multimodal cosine sum."""
+    lin = [rng.normal(size=shape) for shape in shapes]
+    centre = [rng.dirichlet(np.ones(n), size=k) for k, n in shapes]
+    freq = [rng.uniform(3.0, 12.0, size=shape) for shape in shapes]
+
+    def linear(*blocks):
+        return float(sum((w * b).sum() for w, b in zip(lin, blocks)))
+
+    def quadratic(*blocks):
+        return float(-sum(((b - c) ** 2).sum() for b, c in zip(blocks, centre)))
+
+    def cosine(*blocks):
+        return float(sum(np.cos(f * b).sum() for f, b in zip(freq, blocks)))
+
+    return [linear, quadratic, cosine]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 2), st.integers(1, 3)), min_size=1, max_size=2),
+    st.integers(1, 3),
+    st.integers(1, 110),
+    st.integers(0, 2**32 - 1),
+)
+def test_lockstep_search_equals_the_sequential_restarts(shapes, restarts, iterations, seed):
+    # Every lane of the lockstep ascent ends bit for bit where its restart
+    # ends when run alone, and each objective's winner is the sequential one.
+    objectives = _bumpy_objectives(np.random.default_rng(seed), shapes)
+    config = SearchConfig(restarts=restarts, refinement_iterations=iterations, seed=seed)
+    streams = [(5, s) for s in range(len(objectives))]
+
+    def lanes(ids, *blocks):
+        return [objectives[s](*(b[j] for b in blocks)) for j, s in enumerate(ids)]
+
+    starts = []
+    for stream in streams:
+        for restart in range(restarts):
+            rng = np.random.default_rng((seed, *stream, restart))
+            starts.append([rng.dirichlet(np.ones(n), size=k) for k, n in shapes])
+    ids = np.repeat(np.arange(len(objectives)), restarts)
+    blocks = [np.stack(block) for block in zip(*starts)]
+    values = _ascend(blocks, ids, lanes, config)
+    for lane, s in enumerate(ids):
+        alone = [block.copy() for block in starts[lane]]
+        assert values[lane] == sequential_ascend(alone, objectives[s], config)
+        for got, want in zip(blocks, alone):
+            assert np.array_equal(got[lane], want)
+
+    best = _best_of_restarts(shapes, streams, lanes, config)
+    for (value, got), objective, stream in zip(best, objectives, streams):
+        want_value, want = sequential_best_of_restarts(shapes, stream, objective, config)
+        assert value == want_value
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 # --- single-user rates -----------------------------------------------------------------
@@ -340,17 +419,19 @@ def test_fast_quantities_match_reference():
     ]
     for k in kernels:
         for u_size in (1, 2, 3):
-            for trial in range(8):
-                if trial == 0:
-                    fact = uniform_factorization(u_size, k.x1_size, k.x2_size)
-                else:
-                    fact = _random_factorization(rng, u_size, k.x1_size, k.x2_size)
+            facts = [uniform_factorization(u_size, k.x1_size, k.x2_size)] + [
+                _random_factorization(rng, u_size, k.x1_size, k.x2_size) for _ in range(7)
+            ]
+            fast = _factorized_quantities(
+                k.transition,
+                np.stack([f.u_dist for f in facts]),
+                np.stack([f.x1_given_u for f in facts]),
+                np.stack([f.x2_given_u for f in facts]),
+            )
+            for lane, fact in enumerate(facts):
                 ref = info_quantities(k, fact)
-                fast = _factorized_quantities(
-                    k.transition, fact.u_dist, fact.x1_given_u, fact.x2_given_u
-                )
                 for got, want in zip(fast, (ref.a, ref.b, ref.c, ref.d, ref.e)):
-                    assert got == pytest.approx(want, abs=1e-12)
+                    assert got[lane] == pytest.approx(want, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -365,7 +446,7 @@ def test_single_user_embedding_matches_generic_quantities(nx, ny, nz, seed):
     if nx > 1 and rng.random() < 0.3:  # exercise an unused input letter
         p[0] = 0.0
         p /= p.sum()
-    got = _factorized_quantities(w[:, None], np.ones(1), p[None, :], np.ones((1, 1)))
+    got = _factorized_quantities(w[:, None], np.ones((1, 1)), p[None, None, :], np.ones((1, 1, 1)))
     joint = JointDist(p[:, None, None] * w)  # axes X, Y, Z
     i_xy = mutual_information(joint, [0], [1])
     want = (
@@ -376,7 +457,80 @@ def test_single_user_embedding_matches_generic_quantities(nx, ny, nz, seed):
         conditional_entropy(joint, [1], [0, 2]),
     )
     for g, v in zip(got, want):
-        assert g == pytest.approx(v, abs=1e-10)
+        assert g[0] == pytest.approx(v, abs=1e-10)
+
+
+def _sparse_laws(rng, lanes, rows, n, zeros):
+    """``lanes`` stacks of ``rows`` laws on n letters; with ``zeros`` some
+    coordinates are clipped to 0, as the ascent does."""
+    laws = rng.dirichlet(np.ones(n), size=(lanes, rows))
+    if zeros and n > 1:
+        laws[rng.random(laws.shape) < 0.35] = 0.0
+        laws[..., 0] += laws.sum(axis=-1) == 0.0  # keep every row a law
+        laws /= laws.sum(axis=-1, keepdims=True)
+    return laws
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.lists(st.integers(1, 4), min_size=4, max_size=4),
+    st.integers(1, 64),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_quantities_are_bit_equal_to_the_scalar_kernel(u_size, sizes, lanes, sparse_kernel, sparse_laws, seed):
+    # == and not approx: the batched kernel must give, lane by lane, the
+    # bits of the scalar kernel that produced the pinned goldens, also when
+    # zero masses sit among the terms of an entropy and when a flattened
+    # mass array is longer than 128 (3x3 inputs with |Y| = |Z| = 4).
+    rng = np.random.default_rng(seed)
+    n1, n2, ny, nz = sizes
+    if rng.random() < 0.2:
+        n1, n2, ny, nz = 3, 3, 4, 4
+    rows = rng.dirichlet(np.ones(ny * nz), size=n1 * n2)
+    if sparse_kernel:
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        rows[:, 0] += rows.sum(axis=1) == 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+    w = MacWiretapKernel(rows.reshape(n1, n2, ny, nz)).transition
+    u = _sparse_laws(rng, lanes, 1, u_size, sparse_laws)[:, 0]
+    x1 = _sparse_laws(rng, lanes, u_size, n1, sparse_laws)
+    x2 = _sparse_laws(rng, lanes, u_size, n2, sparse_laws)
+    got = _factorized_quantities(w, u, x1, x2)
+    for lane in range(lanes):
+        want = scalar_factorized_quantities(w, u[lane], x1[lane], x2[lane])
+        assert tuple(q[lane] for q in got) == want
+    # the single-user embedding: a one-letter X2 and a constant auxiliary
+    single = w[:, 0]
+    x = _sparse_laws(rng, lanes, 1, n1, sparse_laws)
+    ones = np.ones((lanes, 1))
+    got = _factorized_quantities(single[:, None], ones, x, ones[:, :, None])
+    for lane in range(lanes):
+        want = scalar_factorized_quantities(single[:, None], np.ones(1), x[lane], np.ones((1, 1)))
+        assert tuple(q[lane] for q in got) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 320), min_size=1, max_size=12),
+    st.integers(1, 64),
+    st.floats(0.0, 0.9),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_entropies_are_bit_equal_to_the_scalar_ones(widths, lanes, zero_share, seed):
+    rng = np.random.default_rng(seed)
+    masses = []
+    for width in widths:
+        mass = rng.dirichlet(np.ones(width), size=lanes)
+        mass[rng.random(mass.shape) < zero_share] = 0.0
+        masses.append(mass)
+    got = _entropy_bits(*masses)
+    assert got.shape == (len(widths), lanes)
+    for t, mass in enumerate(masses):
+        for lane in range(lanes):
+            assert got[t, lane] == scalar_entropy_bits(mass[lane])
 
 
 def _random_factorization(rng, u_size, n1, n2):

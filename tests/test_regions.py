@@ -96,6 +96,25 @@ def test_tiny_coefficient_rows_still_bound_the_region():
     assert coords(r) == pytest.approx([0, 0, 5e10, 0, 5e10, 1, 0, 1])
 
 
+def test_overflowing_scaled_bound_names_the_row():
+    # Every input is finite, but 1e10 / 1e-300 is not: R1 <= 1e310.
+    with pytest.raises(ValidationError) as info:
+        region_from_halfspaces([(1e-300, 0, 1e10), (0, 1, 1)])
+    assert str(info.value) == (
+        "halfspace (1e-300, 0.0, 10000000000.0) bounds the region only beyond "
+        "the float range: its scaled bound overflows"
+    )
+
+
+def test_region_contains_its_own_vertices_after_the_quadrant_clamp():
+    # R1 + R2 <= -1e-9 meets R2 <= 2.2e-308 at R1 = -1e-9, inside TOL of
+    # the quadrant; clamped to (0, 2.2e-308) that point breaks the sum row
+    # by more than TOL, so it is no vertex and the region is the origin.
+    r = region_from_halfspaces([(1, 0, 1), (0, 1, 2.2250738585072014e-308), (1, 1, -1e-9)])
+    assert r.vertices == ((0.0, 0.0),)
+    assert is_subset(r, r)
+
+
 def test_idempotent_reconstruction():
     r = region_from_halfspaces([(1, 0, 0.5), (0, 1, 0.5), (1, 1, 0.661)])
     again = region_from_halfspaces(r.halfspaces)
