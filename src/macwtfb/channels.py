@@ -4,6 +4,9 @@ A discrete two-user wiretap channel is a conditional law P(y, z | x1, x2); the
 legitimate receiver sees Y, the eavesdropper sees Z. Inputs factor through a
 common auxiliary as P(u) P(x1|u) P(x2|u). The Gaussian model is
 Y = X1 + X2 + N1, Z = X1 + X2 + N2 with average power constraints.
+
+numpy is imported by the functions that build or read arrays, not by the
+module, so the Gaussian model loads without it.
 """
 
 from __future__ import annotations
@@ -11,8 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .info import (
     JointDist,
@@ -22,11 +24,16 @@ from .info import (
     mutual_information,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # per-input transition rows renormalize when off by at most this, reject beyond
 ROW_SUM_ATOL = 1e-9
 
 
 def _clean_transition(table, n_input_axes: int, what: str) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(table, dtype=float)
     expected_ndim = n_input_axes + 2
     if arr.ndim != expected_ndim:
@@ -105,6 +112,8 @@ class InputFactorization:
     x2_given_u: np.ndarray   # shape (|U|, |X2|)
 
     def __post_init__(self):
+        import numpy as np
+
         u, x1, x2 = (
             np.asarray(t, dtype=float) for t in (self.u_dist, self.x1_given_u, self.x2_given_u)
         )
@@ -179,6 +188,8 @@ def _hybrid_sum(a, b, c, d, e):
 
 def assemble_joint(kernel: MacWiretapKernel, inputs: InputFactorization) -> JointDist:
     """Joint law of (U, X1, X2, Y, Z) under P(u)P(x1|u)P(x2|u) P(y,z|x1,x2)."""
+    import numpy as np
+
     if inputs.x1_given_u.shape[1] != kernel.x1_size:
         raise ValidationError(
             f"x1 alphabet mismatch: inputs give {inputs.x1_given_u.shape[1]}, "
@@ -201,6 +212,8 @@ def assemble_joint(kernel: MacWiretapKernel, inputs: InputFactorization) -> Join
 
 def joint_from_input_law(kernel: MacWiretapKernel, joint_x: np.ndarray) -> JointDist:
     """Joint law of (X1, X2, Y, Z) under an arbitrary input law P(x1, x2)."""
+    import numpy as np
+
     q = np.asarray(joint_x, dtype=float)
     if q.shape != (kernel.x1_size, kernel.x2_size):
         raise ValidationError(
@@ -234,6 +247,8 @@ def parse_channel(obj) -> MacWiretapKernel:
     Expected keys: x1_size, x2_size, y_size, z_size, and
     transition[x1][x2][y][z] as nested lists.
     """
+    import numpy as np
+
     if not isinstance(obj, dict):
         raise ValidationError(f"channel document must be a JSON object, got {type(obj).__name__}")
     required = ("x1_size", "x2_size", "y_size", "z_size", "transition")

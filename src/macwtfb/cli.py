@@ -29,9 +29,22 @@ after loading the channel and before its search.  Each command builds the
 text of every file before it writes the first; a file that cannot be
 written is a usage error too.
 
+``region gaussian`` also warns, once per pair, when an inner region it
+writes is not inside another region it writes (df inside hybrid, every
+inner inside outer); the files and the exit code stay as they are.
+
 Exit codes: 0 success, 1 verification or input-data failure (an
 ``fm-verify`` mismatch, an unusable channel file), 2 internal invariant
 violation, 64 usage error.
+
+Only the commands that compute with numpy load it.  ``region gaussian``,
+``figure --which 2|3`` and ``fm-verify`` run on the closed forms and on
+``Fraction`` arithmetic and never import it, which saves most of a short
+command's start-up.  ``region discrete`` imports ``discrete`` (the search
+works on arrays) and ``powersweep`` and ``figure --which 4|5`` import
+``power`` inside their handlers.  ``power`` keeps ``np.log2`` and
+``np.linspace``: ``math.log2`` differs from ``np.log2`` in the last bit on
+a few inputs in a thousand, and the pinned sweep files hold numpy's bits.
 """
 
 from __future__ import annotations
@@ -48,7 +61,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .channels import GaussianMacWt, load_channel
-from .discrete import SearchConfig, search_inner, search_outer
 from .fm import verify_hybrid_region_projection
 from .gaussian import (
     gaussian_df_region,
@@ -57,7 +69,6 @@ from .gaussian import (
     tekin_yener_region,
 )
 from .info import ValidationError
-from .power import sweep
 from .regions import RateRegion, boundary_samples, is_subset, region_from_halfspaces, region_to_dict
 
 EXIT_OK = 0
@@ -341,10 +352,14 @@ def _cmd_region_gaussian(args) -> int:
     bounds = _parse_bounds(args.bounds, _GAUSSIAN_BOUNDS)
     g = GaussianMacWt(args.p1, args.p2, args.sigma1sq, args.sigma2sq)
     regions = {name: _GAUSSIAN_REGION_FNS[name](g) for name in bounds}
+    for problem in _containment_failures(regions):
+        warnings.warn(problem)
     return _write_regions(_output_dir(args), regions, args)
 
 
 def _cmd_region_discrete(args) -> int:
+    from .discrete import SearchConfig, search_inner, search_outer
+
     bounds = _parse_bounds(args.bounds, _DISCRETE_BOUNDS)
     config = SearchConfig(
         u_cardinality_max=args.umax,
@@ -372,6 +387,8 @@ def _cmd_region_discrete(args) -> int:
 
 
 def _cmd_powersweep(args) -> int:
+    from .power import sweep
+
     g = GaussianMacWt(args.pmax, args.pmax, args.sigma1sq, args.sigma2sq)
     text = _sweep_text(sweep(args.pmax, args.steps, g), args.format)
     _emit(_output_dir(args) / f"powersweep.{args.format}", text)
@@ -406,6 +423,8 @@ def _cmd_figure(args) -> int:
         rows = ([str(i), *(v for points in sampled for v in points[i])] for i in range(_FIGURE_SAMPLE_COUNT))
         text = _csv_text(header, rows)
     else:
+        from .power import sweep
+
         p_max, steps, s1, s2 = _FIGURE_SWEEP_PRESETS[which]
         g = GaussianMacWt(p_max, p_max, s1, s2)
         table = sweep(p_max, steps, g)

@@ -4,15 +4,20 @@ Distributions are validated numpy float arrays. All measures use log base 2
 and treat 0 * log 0 = 0. Tiny negative results caused by float cancellation
 (within NEG_CLAMP) are clamped to zero; anything more negative signals a bug
 in the caller and raises ConsistencyError.
+
+numpy is imported by the functions that use it, not by the module: the
+Gaussian closed forms and the exact checks need only ValidationError and
+gaussian_diff_entropy from here, and run without loading numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # mass functions must sum to 1 within this
 PROB_ATOL = 1e-12
@@ -37,6 +42,8 @@ def check_mass(values, what: str = "mass", sum_axes=None, atol: float = PROB_ATO
     negatives are clipped to 0. Every sum over ``sum_axes`` (all axes when
     None) must be 1 within ``atol``. Errors name the offending index.
     """
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValidationError(f"{what} is empty: shape {arr.shape}")
@@ -58,6 +65,8 @@ def check_mass(values, what: str = "mass", sum_axes=None, atol: float = PROB_ATO
 
 
 def _argmax_index(values: np.ndarray) -> tuple[int, ...]:
+    import numpy as np
+
     return tuple(int(i) for i in np.unravel_index(int(values.argmax()), values.shape))
 
 
@@ -80,6 +89,8 @@ class JointDist:
 
     def marginal(self, axes: Sequence[int]) -> np.ndarray:
         """Marginal mass over the given axes, in the order given."""
+        import numpy as np
+
         axes = _check_axes(self, axes, "axes")
         drop = tuple(i for i in range(self.mass.ndim) if i not in axes)
         m = self.mass.sum(axis=drop) if drop else self.mass
@@ -100,6 +111,8 @@ def _check_axes(joint: JointDist, axes: Sequence[int], name: str) -> tuple[int, 
 
 
 def _entropy_of(mass: np.ndarray) -> float:
+    import numpy as np
+
     flat = np.asarray(mass, dtype=float).ravel()
     nz = flat[flat > 0.0]
     if nz.size == 0:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from macwtfb import cli
+from macwtfb import cli, discrete, power
 from macwtfb.channels import GaussianMacWt
 from macwtfb.cli import (
     EXIT_FAILURE,
@@ -86,6 +86,29 @@ def test_region_gaussian_json_structure(tmp_path):
     assert doc["bound"] == "df"
     assert len(doc["samples"]) == 5
     assert all(len(point) == 2 for point in doc["samples"])
+
+
+def test_region_gaussian_warns_when_an_inner_region_leaves_the_outer(tmp_path, capsys):
+    argv = ["region", "gaussian", "--p1", "10", "--p2", "10", "--sigma1sq", "2", "--sigma2sq", "2.5"]
+    code = main([*argv, "--bounds", "hybrid,outer", "--output-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "macwtfb region gaussian: warning: hybrid region is not contained in the outer region"
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["region_hybrid.csv", "region_outer.csv"]
+    # the warning changes no byte of the files
+    quiet = tmp_path / "quiet"
+    for name in ("hybrid", "outer"):
+        assert main([*argv, "--bounds", name, "--output-dir", str(quiet)]) == EXIT_OK
+        assert (quiet / f"region_{name}.csv").read_bytes() == (tmp_path / f"region_{name}.csv").read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+def test_region_gaussian_figure_two_point_does_not_warn(tmp_path, capsys):
+    code = main(["region", "gaussian", *FIG2_FLAGS, "--bounds", "df,hybrid,ty,outer", "--output-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_region_gaussian_rejects_unknown_bound(tmp_path, capsys):
@@ -304,7 +327,7 @@ def _big_df_region(g):
     return region_from_halfspaces([(1.0, 1.0, 100.0)])
 
 
-def _reversed_sweep(p_max, steps, g, real=cli.sweep):
+def _reversed_sweep(p_max, steps, g, real=power.sweep):
     return real(p_max, steps, g)[::-1]
 
 
@@ -320,7 +343,7 @@ def _reversed_sweep(p_max, steps, g, real=cli.sweep):
 )
 def test_figure_invariant_violation_writes_nothing(tmp_path, capsys, monkeypatch, which, target, fake, message):
     if target == "sweep":
-        monkeypatch.setattr(cli, "sweep", fake)
+        monkeypatch.setattr(power, "sweep", fake)
     else:
         monkeypatch.setitem(cli._GAUSSIAN_REGION_FNS, target, fake)
     code = main(["figure", "--which", which, "--output-dir", str(tmp_path)])
@@ -424,8 +447,8 @@ def _no_search(*args, **kwargs):
 @pytest.mark.parametrize("via", ["flag", "env"])
 @pytest.mark.parametrize("command", sorted(BAD_DIR_COMMANDS))
 def test_unusable_output_dir_is_usage_error(tmp_path, capsys, monkeypatch, command, via):
-    monkeypatch.setattr(cli, "search_inner", _no_search)
-    monkeypatch.setattr(cli, "search_outer", _no_search)
+    monkeypatch.setattr(discrete, "search_inner", _no_search)
+    monkeypatch.setattr(discrete, "search_outer", _no_search)
     channel = write_zy_channel(tmp_path / "zy.json")
     afile = tmp_path / "afile"
     afile.write_text("keep", encoding="utf-8")
