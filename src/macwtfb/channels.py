@@ -175,15 +175,21 @@ class InfoQuantities:
     h_y_given_z: float
 
 
-def _df_sum(a, b, c, d, e):
-    """Decode-and-forward sum-rate cap min(c, a + b) - d; exact on Fractions."""
-    return min(c, a + b) - d
+def _df_sum(a, b, c, d, e, minimum=min):
+    """Decode-and-forward sum-rate cap min(c, a + b) - d.
+
+    ``minimum`` is ``min`` for floats and Fractions (exact on Fractions) and
+    ``np.minimum`` for arrays that hold one quantity per search lane."""
+    return minimum(c, a + b) - d
 
 
-def _hybrid_sum(a, b, c, d, e):
+def _hybrid_sum(a, b, c, d, e, minimum=min):
     """Hybrid sum-rate cap min(c, a + b) - d + min(d, e): the leakage debit d
-    partly refunded by the feedback key rate e; exact on Fractions."""
-    return min(c, a + b) - d + min(d, e)
+    partly refunded by the feedback key rate e.
+
+    ``minimum`` is ``min`` for floats and Fractions (exact on Fractions) and
+    ``np.minimum`` for arrays that hold one quantity per search lane."""
+    return minimum(c, a + b) - d + minimum(d, e)
 
 
 def assemble_joint(kernel: MacWiretapKernel, inputs: InputFactorization) -> JointDist:

@@ -20,7 +20,7 @@ Single-letter quantities for one input law come from the channels module;
 the search loop uses a private batched einsum evaluation of the same
 expressions that is pinned to the public one by the test suite.  The
 sum-rate formulas come from the channels module too, the one place they are
-written, and score each lane on Python floats.  The
+written, and score all lanes of a batch at once on the quantity arrays.  The
 single-user rates are not separate formulas: they are the two-user sum caps
 of a kernel whose second transmitter has a one-letter alphabet and whose
 auxiliary is constant, so Wyner's I(X;Y) - I(X;Z) is the decode-and-forward
@@ -31,6 +31,7 @@ hybrid cap.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,8 +83,9 @@ class SearchConfig:
     ``u_cardinality_max`` bounds the auxiliary alphabet of the inner
     searches, every objective gets ``restarts`` seeded restarts, and
     ``refinement_iterations`` caps the number of full coordinate sweeps per
-    restart.  The step schedule within a restart is fixed by the module
-    constants ``_INITIAL_STEP``, ``_STEP_DECAY`` and ``_DECAY_PATIENCE``.
+    restart.  All four are integers (not bools), at least 1 except ``seed``,
+    which is at least 0.  The step schedule within a restart is fixed by the
+    module constants ``_INITIAL_STEP``, ``_STEP_DECAY`` and ``_DECAY_PATIENCE``.
     """
 
     u_cardinality_max: int = 4
@@ -92,11 +94,13 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("u_cardinality_max", "restarts", "refinement_iterations"):
-            if getattr(self, name) < 1:
-                raise ValidationError("%s must be at least 1" % name)
-        if self.seed < 0:
-            raise ValidationError("seed must be a nonnegative integer")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            least = 0 if field.name == "seed" else 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValidationError(
+                    "%s must be an integer of at least %d, got %r" % (field.name, least, value)
+                )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,21 +160,17 @@ def search_inner(
             "bound_kind must be one of %s, got %r" % (list(_BOUND_KINDS), bound_kind)
         )
     kind_id = _BOUND_KINDS.index(bound_kind)
-    sum_score, region_of = _BOUNDS[bound_kind]
-    scores: list[Callable] = [
-        sum_score,
-        lambda a, b, c, d, e: min(a, sum_score(a, b, c, d, e)),
-        lambda a, b, c, d, e: min(b, sum_score(a, b, c, d, e)),
-    ]
+    sum_cap, region_of = _BOUNDS[bound_kind]
     w = kernel.transition
     n1, n2 = kernel.x1_size, kernel.x2_size
 
-    def objective(ids: np.ndarray, u: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> list[float]:
-        return _scores(scores, ids, _factorized_quantities(w, u[:, 0], x1, x2))
+    def objective(ids: np.ndarray, u: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        return _scores(sum_cap, ids, _factorized_quantities(w, u[:, 0], x1, x2))
 
     found: list[tuple[InputFactorization, RateRegion]] = []
     for u_size in range(1, config.u_cardinality_max + 1):
-        streams = [(_INNER_STREAM, kind_id, u_size, score_id) for score_id in range(len(scores))]
+        # stream s holds the lanes of objective id s of _scores
+        streams = [(_INNER_STREAM, kind_id, u_size, score_id) for score_id in range(3)]
         shapes = [(1, u_size), (u_size, n1), (u_size, n2)]
         for _, (u, x1, x2) in _best_of_restarts(shapes, streams, objective, config):
             fact = InputFactorization(u[0], x1, x2)
@@ -314,20 +314,24 @@ def _factorized_quantities(
     return tuple(np.where(q > 0.0, q, 0.0) for q in (a, b, c, d, e))  # clamped at 0
 
 
-def _scores(scores: Sequence[Callable], ids: np.ndarray, quantities) -> list[float]:
-    """Lane j's value ``scores[ids[j]](a, b, c, d, e)``, on Python floats."""
-    rows = zip(*(q.tolist() for q in quantities))
-    return [scores[i](*q) for i, q in zip(ids.tolist(), rows)]
+def _scores(sum_cap: Callable, ids: np.ndarray, quantities: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Every lane's objective from the (a, b, c, d, e) lane arrays: with
+    s = ``sum_cap(a, b, c, d, e)``, lane j scores s when ``ids[j]`` is 0,
+    the R1 corner min(a, s) when 1 and the R2 corner min(b, s) when 2."""
+    a, b = quantities[:2]
+    s = sum_cap(*quantities, np.minimum)
+    return np.choose(ids, (s, np.minimum(a, s), np.minimum(b, s)))
 
 
-def _single_user_search(kernel: WiretapKernel, config: SearchConfig, sum_score: Callable) -> float:
+def _single_user_search(kernel: WiretapKernel, config: SearchConfig, sum_cap: Callable) -> float:
     # The single transmitter is X1 of a two-user kernel whose X2 alphabet
-    # has one letter; the auxiliary is constant.
+    # has one letter; the auxiliary is constant.  One stream, so every id
+    # is 0 and every lane scores the sum cap.
     w = kernel.transition[:, None]
 
-    def objective(ids: np.ndarray, x: np.ndarray) -> list[float]:
+    def objective(ids: np.ndarray, x: np.ndarray) -> np.ndarray:
         ones = np.ones((len(x), 1))
-        return _scores([sum_score], ids, _factorized_quantities(w, ones, x, ones[:, :, None]))
+        return _scores(sum_cap, ids, _factorized_quantities(w, ones, x, ones[:, :, None]))
 
     ((best, _),) = _best_of_restarts(
         [(1, kernel.x_size)], [(_SINGLE_STREAM,)], objective, config

@@ -76,11 +76,12 @@ def sum_rate(p1: float, p2: float, g: GaussianMacWt) -> float:
     log2(1 + t/sigma1_sq)/2, above it the eavesdropper term
     log2(1 + t/sigma2_sq)/2 is subtracted and the constant
     log2(2*pi*e*sigma1_sq)/2 added.  The two branches agree at the
-    breakpoint, so the function is continuous.
+    breakpoint, so the function is continuous.  A negative or non-finite
+    power, or a total that overflows once divided by a noise variance, is
+    a ValidationError.
     """
     _check_domain(g)
-    if p1 < 0.0 or p2 < 0.0:
-        raise ValidationError("powers must be nonnegative, got (%g, %g)" % (p1, p2))
+    GaussianMacWt(p1, p2, g.sigma1_sq, g.sigma2_sq)  # validates the pair and its total
     return float(_rate_of_total(np.asarray(p1 + p2, dtype=float), g))
 
 
@@ -92,8 +93,8 @@ def optimal_power(power_cap: float, g: GaussianMacWt) -> PowerControlResult:
     nondecreasing in the total power and the corner (cap, cap) is optimal.
     """
     _check_domain(g)
-    if power_cap < 0.0:
-        raise ValidationError("power cap must be nonnegative, got %g" % power_cap)
+    if not math.isfinite(power_cap) or power_cap < 0.0:
+        raise ValidationError("power cap must be finite and nonnegative, got %g" % power_cap)
     threshold = saturation_threshold(g)
     regime = ABOVE_THRESHOLD if power_cap >= threshold else BELOW_THRESHOLD
     if g.sigma1_sq > g.sigma2_sq and power_cap >= threshold:
@@ -114,8 +115,8 @@ def sweep(
     _check_domain(g)
     if steps < 2:
         raise ValidationError("sweep needs at least 2 steps, got %d" % steps)
-    if p_max < 0.0:
-        raise ValidationError("maximum power must be nonnegative, got %g" % p_max)
+    if not math.isfinite(p_max) or p_max < 0.0:
+        raise ValidationError("maximum power must be finite and nonnegative, got %g" % p_max)
     caps = np.linspace(0.0, p_max, steps)
     return [(float(cap), optimal_power(float(cap), g)) for cap in caps]
 

@@ -7,9 +7,10 @@ independent check of the closed form in ``macwtfb.power.optimal_power``;
 The scalar search below is the discrete search as it was before its
 restarts ran in lockstep, kept verbatim as the reference that produced the
 pinned goldens: ``scalar_factorized_quantities`` scores one input law,
-``scalar_entropy_bits`` is its entropy, and ``sequential_best_of_restarts``
-runs the restarts of one objective one after another with
-``sequential_ascend``.  The batched search must match them bit for bit.
+``scalar_entropy_bits`` is its entropy, ``scalar_scores`` scores each lane
+on Python floats, and ``sequential_best_of_restarts`` runs the restarts of
+one objective one after another with ``sequential_ascend``.  The batched
+search must match them bit for bit.
 """
 
 import math
@@ -97,6 +98,18 @@ def scalar_factorized_quantities(
     )
     e = _clamp(scalar_entropy_bits(p_abyz) - scalar_entropy_bits(p_abz))
     return a, b, c, d, e
+
+
+def scalar_scores(sum_score: Callable, ids: np.ndarray, quantities) -> list[float]:
+    """Lane j's value ``scores[ids[j]](a, b, c, d, e)``, on Python floats:
+    the sum cap and the two corner rates min(a, cap) and min(b, cap)."""
+    scores: list[Callable] = [
+        sum_score,
+        lambda a, b, c, d, e: min(a, sum_score(a, b, c, d, e)),
+        lambda a, b, c, d, e: min(b, sum_score(a, b, c, d, e)),
+    ]
+    rows = zip(*(q.tolist() for q in quantities))
+    return [scores[i](*q) for i, q in zip(ids.tolist(), rows)]
 
 
 def sequential_best_of_restarts(

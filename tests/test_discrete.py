@@ -13,6 +13,8 @@ from macwtfb.channels import (
     InfoQuantities,
     MacWiretapKernel,
     WiretapKernel,
+    _df_sum,
+    _hybrid_sum,
     info_quantities,
 )
 from macwtfb.discrete import (
@@ -25,13 +27,20 @@ from macwtfb.discrete import (
     search_outer,
     wyner_capacity,
 )
-from macwtfb.discrete import _ascend, _best_of_restarts, _entropy_bits, _factorized_quantities
+from macwtfb.discrete import (
+    _ascend,
+    _best_of_restarts,
+    _entropy_bits,
+    _factorized_quantities,
+    _scores,
+)
 from macwtfb.info import JointDist, ValidationError, conditional_entropy, mutual_information
 from macwtfb.regions import Halfspace, is_subset, region_from_halfspaces
 
 from oracles import (
     scalar_entropy_bits,
     scalar_factorized_quantities,
+    scalar_scores,
     sequential_ascend,
     sequential_best_of_restarts,
     uniform_factorization,
@@ -471,21 +480,12 @@ def _sparse_laws(rng, lanes, rows, n, zeros):
     return laws
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 5),
-    st.lists(st.integers(1, 4), min_size=4, max_size=4),
-    st.integers(1, 64),
-    st.booleans(),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-)
-def test_batched_quantities_are_bit_equal_to_the_scalar_kernel(u_size, sizes, lanes, sparse_kernel, sparse_laws, seed):
-    # == and not approx: the batched kernel must give, lane by lane, the
-    # bits of the scalar kernel that produced the pinned goldens, also when
-    # zero masses sit among the terms of an entropy and when a flattened
-    # mass array is longer than 128 (3x3 inputs with |Y| = |Z| = 4).
-    rng = np.random.default_rng(seed)
+def _random_lanes(rng, u_size, sizes, lanes, sparse_kernel, sparse_laws):
+    """A kernel's transition array and ``lanes`` input laws (u, x1, x2) on
+    alphabets ``sizes`` = (|X1|, |X2|, |Y|, |Z|), with zero coordinates in
+    the kernel rows and in the laws on request.  One draw in five uses 3x3
+    inputs with |Y| = |Z| = 4, where a flattened mass array is longer
+    than 128."""
     n1, n2, ny, nz = sizes
     if rng.random() < 0.2:
         n1, n2, ny, nz = 3, 3, 4, 4
@@ -498,18 +498,65 @@ def test_batched_quantities_are_bit_equal_to_the_scalar_kernel(u_size, sizes, la
     u = _sparse_laws(rng, lanes, 1, u_size, sparse_laws)[:, 0]
     x1 = _sparse_laws(rng, lanes, u_size, n1, sparse_laws)
     x2 = _sparse_laws(rng, lanes, u_size, n2, sparse_laws)
+    return w, u, x1, x2
+
+
+_LANE_DRAWS = (
+    st.integers(1, 5),
+    st.lists(st.integers(1, 4), min_size=4, max_size=4),
+    st.integers(1, 64),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_LANE_DRAWS)
+def test_batched_quantities_are_bit_equal_to_the_scalar_kernel(u_size, sizes, lanes, sparse_kernel, sparse_laws, seed):
+    # == and not approx: the batched kernel must give, lane by lane, the
+    # bits of the scalar kernel that produced the pinned goldens, also when
+    # zero masses sit among the terms of an entropy and when a flattened
+    # mass array is longer than 128.
+    rng = np.random.default_rng(seed)
+    w, u, x1, x2 = _random_lanes(rng, u_size, sizes, lanes, sparse_kernel, sparse_laws)
     got = _factorized_quantities(w, u, x1, x2)
     for lane in range(lanes):
         want = scalar_factorized_quantities(w, u[lane], x1[lane], x2[lane])
         assert tuple(q[lane] for q in got) == want
     # the single-user embedding: a one-letter X2 and a constant auxiliary
     single = w[:, 0]
-    x = _sparse_laws(rng, lanes, 1, n1, sparse_laws)
+    x = _sparse_laws(rng, lanes, 1, w.shape[0], sparse_laws)
     ones = np.ones((lanes, 1))
     got = _factorized_quantities(single[:, None], ones, x, ones[:, :, None])
     for lane in range(lanes):
         want = scalar_factorized_quantities(single[:, None], np.ones(1), x[lane], np.ones((1, 1)))
         assert tuple(q[lane] for q in got) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_LANE_DRAWS)
+def test_array_scores_are_bit_equal_to_the_scalar_scores(u_size, sizes, lanes, sparse_kernel, sparse_laws, seed):
+    # np.minimum and min differ only on NaN and on a 0.0 / -0.0 tie.  The
+    # kernel's outputs carry neither, so every lane scores the bits the
+    # per-lane Python-float scorer gave, for each bound and objective id.
+    rng = np.random.default_rng(seed)
+    w, u, x1, x2 = _random_lanes(rng, u_size, sizes, lanes, sparse_kernel, sparse_laws)
+    x = _sparse_laws(rng, lanes, 1, w.shape[0], sparse_laws)
+    ones = np.ones((lanes, 1))
+    mixed = rng.integers(0, 3, size=lanes)
+    for quantities in (
+        _factorized_quantities(w, u, x1, x2),
+        _factorized_quantities(w[:, :1], ones, x, ones[:, :, None]),  # single-user embedding
+    ):
+        for q in quantities:
+            assert not np.isnan(q).any()
+            assert not np.signbit(q).any()
+        for sum_cap in (_df_sum, _hybrid_sum):
+            for ids in (*(np.full(lanes, i) for i in range(3)), mixed):
+                got = _scores(sum_cap, ids, quantities)
+                want = scalar_scores(sum_cap, ids, quantities)
+                assert got.tobytes() == np.array(want).tobytes()  # ==, and signs of zero agree
 
 
 @settings(max_examples=60, deadline=None)
@@ -554,3 +601,9 @@ def test_config_validation():
         SearchConfig(seed=-1)
     with pytest.raises(ValidationError):
         SearchConfig(u_cardinality_max=0)
+    # every field is an integer, and a bool is not one
+    for name in ("u_cardinality_max", "restarts", "refinement_iterations", "seed"):
+        for bad in (2.5, 2.0, True, "2", None):
+            with pytest.raises(ValidationError):
+                SearchConfig(**{name: bad})
+    assert SearchConfig(restarts=np.int64(2), seed=np.uint32(7)).restarts == 2

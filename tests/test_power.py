@@ -161,6 +161,31 @@ def test_negative_arguments_rejected():
         sweep(10.0, 1, NOISY_EVE)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_arguments_rejected(bad):
+    with pytest.raises(ValidationError):
+        sum_rate(bad, 1.0, NOISY_EVE)
+    with pytest.raises(ValidationError):
+        sum_rate(1.0, bad, NOISY_EVE)
+    with pytest.raises(ValidationError):
+        optimal_power(bad, NOISY_EVE)
+    with pytest.raises(ValidationError):
+        sweep(bad, 3, NOISY_EVE)
+
+
+def test_overflowing_total_rejected():
+    # each power is finite, but their sum, or its ratio to a noise
+    # variance, is not
+    with pytest.raises(ValidationError):
+        sum_rate(1e308, 1e308, NOISY_EVE)
+    with pytest.raises(ValidationError):
+        sum_rate(1e308, 0.0, GaussianMacWt(0.0, 0.0, 5.0, 0.5))
+    with pytest.raises(ValidationError):
+        optimal_power(1e308, NOISY_MAIN)
+    with pytest.raises(ValidationError):
+        sweep(1e308, 3, NOISY_MAIN)
+
+
 # --- brute-force oracle ---------------------------------------------------------
 
 def test_oracle_brackets_closed_form_near_saturation():
