@@ -184,12 +184,13 @@ def _df_sum(a, b, c, d, e, minimum=min):
 
 
 def _hybrid_sum(a, b, c, d, e, minimum=min):
-    """Hybrid sum-rate cap min(c, a + b) - d + min(d, e): the leakage debit d
-    partly refunded by the feedback key rate e.
+    """Hybrid sum-rate cap min(c, a + b) - d + min(d, e): the DF cap plus the
+    key refund min(d, e), by which the feedback key rate e partly repays the
+    leakage debit d.
 
     ``minimum`` is ``min`` for floats and Fractions (exact on Fractions) and
     ``np.minimum`` for arrays that hold one quantity per search lane."""
-    return minimum(c, a + b) - d + minimum(d, e)
+    return _df_sum(a, b, c, d, e, minimum) + minimum(d, e)
 
 
 def assemble_joint(kernel: MacWiretapKernel, inputs: InputFactorization) -> JointDist:
@@ -272,7 +273,7 @@ def parse_channel(obj) -> MacWiretapKernel:
         raise ValidationError(f"transition entry at index {bad} is not a number")
     try:
         arr = np.asarray(obj["transition"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"transition is not a rectangular numeric array: {exc}") from None
     if arr.shape != tuple(sizes):
         raise ValidationError(
@@ -306,6 +307,8 @@ def load_channel(path) -> MacWiretapKernel:
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply to decode") from None
     try:
         return parse_channel(obj)
     except ValidationError as exc:

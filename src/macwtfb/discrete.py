@@ -47,7 +47,7 @@ from .channels import (
     joint_from_input_law,
 )
 from .info import JointDist, ValidationError, conditional_entropy
-from .regions import Halfspace, RateRegion, hull_of_regions, is_subset, region_from_halfspaces
+from .regions import RateRegion, capped_region, hull_of_regions, is_subset
 
 __all__ = [
     "InnerSearchResult",
@@ -118,14 +118,14 @@ class InnerSearchResult:
 def df_region_for_input(q: InfoQuantities) -> RateRegion:
     """Decode-and-forward inner region of one input law:
     R1 <= a, R2 <= b, R1 + R2 <= min(c, a + b) - d."""
-    return _region_with_sum(q, _df_sum)
+    return capped_region(q.a, q.b, _df_sum(q.a, q.b, q.c, q.d, q.e))
 
 
 def hybrid_region_for_input(q: InfoQuantities) -> RateRegion:
     """Hybrid inner region of one input law: the decode-and-forward shape
     with the leakage debit partially refunded by the feedback key,
     R1 + R2 <= min(c, a + b) - d + min(d, e)."""
-    return _region_with_sum(q, _hybrid_sum)
+    return capped_region(q.a, q.b, _hybrid_sum(q.a, q.b, q.c, q.d, q.e))
 
 
 def sato_outer_for_joint(kernel: MacWiretapKernel, joint_input: np.ndarray) -> float:
@@ -230,16 +230,6 @@ def feedback_secrecy_capacity(
 
 
 # --- search internals ---------------------------------------------------------------
-
-
-def _region_with_sum(q: InfoQuantities, sum_bound: Callable) -> RateRegion:
-    return region_from_halfspaces(
-        [
-            Halfspace(1.0, 0.0, q.a),
-            Halfspace(0.0, 1.0, q.b),
-            Halfspace(1.0, 1.0, sum_bound(q.a, q.b, q.c, q.d, q.e)),
-        ]
-    )
 
 
 # Per inner bound: its sum-rate formula and its per-input region.

@@ -21,8 +21,8 @@ import math
 import warnings
 
 from .channels import GaussianMacWt
-from .info import TWO_PI_E, ValidationError, gaussian_diff_entropy
-from .regions import RateRegion, region_from_halfspaces
+from .info import ValidationError, gaussian_diff_entropy
+from .regions import RateRegion, capped_region, region_from_halfspaces
 
 
 def _cap(snr: float) -> float:
@@ -44,11 +44,7 @@ def hybrid_sum_bound(g: GaussianMacWt) -> float:
 
 def gaussian_df_region(g: GaussianMacWt) -> RateRegion:
     """Decode-and-forward inner bound region."""
-    return region_from_halfspaces([
-        (1.0, 0.0, _cap(g.p1 / g.sigma1_sq)),
-        (0.0, 1.0, _cap(g.p2 / g.sigma1_sq)),
-        (1.0, 1.0, df_sum_bound(g)),
-    ])
+    return capped_region(_cap(g.p1 / g.sigma1_sq), _cap(g.p2 / g.sigma1_sq), df_sum_bound(g))
 
 
 def gaussian_hybrid_region(g: GaussianMacWt) -> RateRegion:
@@ -66,11 +62,7 @@ def gaussian_hybrid_region(g: GaussianMacWt) -> RateRegion:
             RuntimeWarning,
             stacklevel=2,
         )
-    return region_from_halfspaces([
-        (1.0, 0.0, _cap(g.p1 / g.sigma1_sq)),
-        (0.0, 1.0, _cap(g.p2 / g.sigma1_sq)),
-        (1.0, 1.0, hybrid_sum_bound(g)),
-    ])
+    return capped_region(_cap(g.p1 / g.sigma1_sq), _cap(g.p2 / g.sigma1_sq), hybrid_sum_bound(g))
 
 
 def tekin_yener_region(g: GaussianMacWt) -> RateRegion:
@@ -82,11 +74,7 @@ def tekin_yener_region(g: GaussianMacWt) -> RateRegion:
     """
     r1 = _cap(g.p1 / g.sigma1_sq) - _cap(g.p1 / (g.sigma2_sq + g.p2))
     r2 = _cap(g.p2 / g.sigma1_sq) - _cap(g.p2 / (g.sigma2_sq + g.p1))
-    return region_from_halfspaces([
-        (1.0, 0.0, r1),
-        (0.0, 1.0, r2),
-        (1.0, 1.0, df_sum_bound(g)),
-    ])
+    return capped_region(r1, r2, df_sum_bound(g))
 
 
 def gaussian_outer_sum(g: GaussianMacWt) -> float:

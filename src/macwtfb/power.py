@@ -98,9 +98,7 @@ def optimal_power(power_cap: float, g: GaussianMacWt) -> PowerControlResult:
     threshold = saturation_threshold(g)
     regime = ABOVE_THRESHOLD if power_cap >= threshold else BELOW_THRESHOLD
     if g.sigma1_sq > g.sigma2_sq and power_cap >= threshold:
-        rate = 0.5 * math.log2(
-            1.0 + (TWO_PI_E * g.sigma1_sq - 1.0) * g.sigma2_sq / g.sigma1_sq
-        )
+        rate = 0.5 * math.log2(1.0 + 2.0 * threshold / g.sigma1_sq)
         return PowerControlResult(threshold, threshold, rate, regime, threshold)
     rate = sum_rate(power_cap, power_cap, g)
     return PowerControlResult(power_cap, power_cap, rate, regime, threshold)
@@ -132,7 +130,6 @@ def _check_domain(g: GaussianMacWt) -> None:
 
 def _rate_of_total(total: np.ndarray, g: GaussianMacWt) -> np.ndarray:
     s1, s2 = g.sigma1_sq, g.sigma2_sq
-    breakpoint_total = (TWO_PI_E * s1 - 1.0) * s2
     below = 0.5 * np.log2(1.0 + total / s1)
     above = below - 0.5 * np.log2(1.0 + total / s2) + gaussian_diff_entropy(s1)
-    return np.where(total <= breakpoint_total, below, above)
+    return np.where(total <= 2.0 * saturation_threshold(g), below, above)

@@ -7,6 +7,9 @@ counterclockwise starting at the lexicographically smallest vertex, and
 halfspaces that are not tight anywhere are dropped. The empty intersection
 canonicalizes to the degenerate region {(0, 0)}.
 
+Every inner region of the package has one shape, built by
+``capped_region``: an individual cap on each rate plus a cap on their sum.
+
 All comparisons use the absolute tolerance TOL = 1e-9.
 
 The vertex-enumeration steps are written once, generic over the number
@@ -241,6 +244,11 @@ def region_from_halfspaces(halfspaces: Iterable) -> RateRegion:
             kept.append(Halfspace(c1, c2, b))
     kept.sort(key=lambda h: (-h.coeff_r1, h.coeff_r2, h.bound))
     return RateRegion(tuple(kept), tuple((float(x), float(y)) for x, y in verts))
+
+
+def capped_region(r1_cap: float, r2_cap: float, sum_cap: float) -> RateRegion:
+    """The region R1 <= r1_cap, R2 <= r2_cap, R1 + R2 <= sum_cap."""
+    return region_from_halfspaces([(1.0, 0.0, r1_cap), (0.0, 1.0, r2_cap), (1.0, 1.0, sum_cap)])
 
 
 def contains(region: RateRegion, point) -> bool:

@@ -185,9 +185,16 @@ def test_region_discrete_missing_channel_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "transition", [[[[[True]]]], [[[[0.0, True]]]], [[[["1.0"]]]]], ids=["true", "late_true", "string"]
+    "transition, message",
+    [
+        ([[[[True]]]], "is not a number"),
+        ([[[[0.0, True]]]], "is not a number"),
+        ([[[["1.0"]]]], "is not a number"),
+        ([[[[10 ** 400]]]], "not a rectangular numeric array: int too large"),
+    ],
+    ids=["true", "late_true", "string", "huge_int"],
 )
-def test_region_discrete_rejects_non_numeric_probabilities(tmp_path, capsys, transition):
+def test_region_discrete_rejects_non_numeric_probabilities(tmp_path, capsys, transition, message):
     path = tmp_path / "chan.json"
     doc = {"x1_size": 1, "x2_size": 1, "y_size": 1, "z_size": len(transition[0][0][0]), "transition": transition}
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -195,7 +202,24 @@ def test_region_discrete_rejects_non_numeric_probabilities(tmp_path, capsys, tra
     code = main(["region", "discrete", "--channel", str(path), "--bounds", "outer", "--output-dir", str(out_dir)])
     assert code == EXIT_FAILURE
     err = capsys.readouterr().err
-    assert "error:" in err and "is not a number" in err
+    assert "error:" in err and message in err
+    assert not out_dir.exists()
+
+
+def test_region_discrete_deeply_nested_channel_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    path.write_text(
+        '{"x1_size": 1, "x2_size": 1, "y_size": 1, "z_size": 1, "transition": '
+        + "[" * depth + "]" * depth + "}",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    code = main(["region", "discrete", "--channel", str(path), "--bounds", "outer", "--output-dir", str(out_dir)])
+    assert code == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert "deep.json" in err and "nested too deeply" in err
     assert not out_dir.exists()
 
 

@@ -3,13 +3,15 @@ boundary sampling, and hulls."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macwtfb.info import ValidationError
 from macwtfb.regions import (
+    TOL,
     Halfspace,
     boundary_samples,
+    capped_region,
     contains,
     hull_of_regions,
     is_subset,
@@ -31,7 +33,7 @@ def test_unit_square():
 
 
 def test_pentagon():
-    r = region_from_halfspaces([(1, 0, 0.5), (0, 1, 0.5), (1, 1, 0.661)])
+    r = capped_region(0.5, 0.5, 0.661)
     assert len(r.vertices) == 5
     assert (0.5, pytest.approx(0.161, abs=1e-12)) in [
         (v[0], v[1]) for v in r.vertices
@@ -214,24 +216,34 @@ def test_hull_of_axis_segment():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.floats(0.1, 3.0),
-    st.floats(0.1, 3.0),
-    st.floats(0.1, 5.0),
+    st.floats(-1.0, 3.0),
+    st.floats(-1.0, 3.0),
+    st.floats(-1.0, 5.0),
     st.integers(0, 10 ** 6),
 )
+@example(0.0, 1.0, 2.0, 0)  # segment on the R1 axis
+@example(1.0, 1.0, 0.0, 0)  # sum cap 0: only the origin
+@example(1.0, -0.5, 2.0, 0)  # empty intersection
 def test_random_cap_regions_round_trip(r1, r2, s, seed):
     rng = np.random.default_rng(seed)
     rows = [(1.0, 0.0, r1), (0.0, 1.0, r2), (1.0, 1.0, s)]
+    base = capped_region(r1, r2, s)
     # a couple of random extra slanted caps
+    extra = []
     for _ in range(rng.integers(0, 3)):
         c1, c2 = rng.uniform(0.1, 2.0, size=2)
-        rows.append((c1, c2, float(rng.uniform(0.05, 4.0))))
-    region = region_from_halfspaces(rows)
-    # every vertex satisfies every input constraint
-    for v in region.vertices:
-        assert v[0] >= -1e-9 and v[1] >= -1e-9
-        for c1, c2, b in rows:
-            assert c1 * v[0] + c2 * v[1] <= b + 1e-8
+        extra.append((c1, c2, float(rng.uniform(0.05, 4.0))))
+    region = region_from_halfspaces([*base.halfspaces, *extra]) if extra else base
+    rows += extra
+    if min(r1, r2, s) < -TOL:
+        # no quadrant point meets the caps: the documented empty region
+        assert region.vertices == ((0.0, 0.0),)
+    else:
+        # every vertex satisfies every input constraint
+        for v in region.vertices:
+            assert v[0] >= -1e-9 and v[1] >= -1e-9
+            for c1, c2, b in rows:
+                assert c1 * v[0] + c2 * v[1] <= b + 1e-8
     # canonicalization is idempotent
     again = region_from_halfspaces(region.halfspaces)
     assert len(again.vertices) == len(region.vertices)
