@@ -14,8 +14,9 @@ Every run is deterministic: identical flags (including the seed) produce
 byte-identical files.  CSV floats are rendered with %.12g; JSON documents
 are indented with sorted keys.  Output lands in the current directory
 unless --output-dir or the MACWTFB_OUTPUT_DIR environment variable says
-otherwise.  Every file goes through one writer, :func:`_emit`, which prints
-``wrote <path>``.
+otherwise.  Every file goes through one writer, :func:`_emit`, which
+writes all of a command's files or none and prints ``wrote <path>`` for
+each.
 
 Commands raise their failures and :func:`main` reports each one on stderr
 as ``<prog>: error: <message>`` (``invariant violation`` in place of
@@ -39,10 +40,11 @@ violation, 64 usage error.
 
 Only the commands that compute with numpy load it.  ``region gaussian``,
 ``figure --which 2|3`` and ``fm-verify`` run on the closed forms and on
-``Fraction`` arithmetic and never import it, which saves most of a short
+exact integer arithmetic and never import it, which saves most of a short
 command's start-up.  ``region discrete`` imports ``discrete`` (the search
 works on arrays) and ``powersweep`` and ``figure --which 4|5`` import
-``power`` inside their handlers.  ``power`` keeps ``np.log2`` and
+``power`` inside their handlers; ``fm-verify`` alone imports ``fm``,
+``fractions`` and ``random``.  ``power`` keeps ``np.log2`` and
 ``np.linspace``: ``math.log2`` differs from ``np.log2`` in the last bit on
 a few inputs in a thousand, and the pinned sweep files hold numpy's bits.
 """
@@ -50,18 +52,16 @@ a few inputs in a thousand, and the pinned sweep files hold numpy's bits.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
-import random
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
 from .channels import GaussianMacWt, load_channel
-from .fm import verify_hybrid_region_projection
 from .gaussian import (
     gaussian_df_region,
     gaussian_hybrid_region,
@@ -104,14 +104,15 @@ _FIGURE_SWEEP_PRESETS = {
 }
 _FIGURE_SAMPLE_COUNT = 101
 
-# Fixed (a, b, c, d, e) tuples always checked by fm-verify: all-zero
-# constants, no key material (e = 0), key rate saturated by the leakage
-# (e >= d), and no leakage at all (d = 0).
+# Fixed (a, b, c, d, e) tuples always checked by fm-verify, as integer
+# (numerator, denominator) pairs: all-zero constants, no key material
+# (e = 0), key rate saturated by the leakage (e >= d), and no leakage at
+# all (d = 0).
 _CORNER_BATTERY = (
-    ("corner_zeros", (Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0))),
-    ("corner_e_zero", (Fraction(1), Fraction(1), Fraction(3, 2), Fraction(1, 2), Fraction(0))),
-    ("corner_e_dominates_d", (Fraction(2), Fraction(3), Fraction(4), Fraction(1, 3), Fraction(1, 2))),
-    ("corner_d_zero", (Fraction(1), Fraction(1), Fraction(3, 2), Fraction(0), Fraction(1, 4))),
+    ("corner_zeros", ((0, 1), (0, 1), (0, 1), (0, 1), (0, 1))),
+    ("corner_e_zero", ((1, 1), (1, 1), (3, 2), (1, 2), (0, 1))),
+    ("corner_e_dominates_d", ((2, 1), (3, 1), (4, 1), (1, 3), (1, 2))),
+    ("corner_d_zero", ((1, 1), (1, 1), (3, 2), (0, 1), (1, 4))),
 )
 
 
@@ -297,15 +298,27 @@ def _output_dir(args) -> Path:
     return path
 
 
-def _emit(path: Path, text: str) -> None:
-    """Write one output file and report it; no other code opens a file here.
-    A file that cannot be written is a usage error."""
+def _emit(files: dict[Path, str]) -> None:
+    """Write a command's output files, all or none, and report each; no
+    other code opens a file here.  Every text goes to a temporary file in
+    its target's directory, and the temporaries replace their targets only
+    once every write has succeeded.  A file that cannot be written is a
+    usage error, and no temporary file outlives the call."""
+    temporaries = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        for path, text in files.items():
+            if path.is_dir():  # the one target a rename cannot replace
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            with open(temporaries[path], "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for path, temporary in temporaries.items():
+            os.replace(temporary, path)
     except OSError as exc:
+        for temporary in temporaries.values():
+            temporary.unlink(missing_ok=True)
         raise ValidationError(f"cannot write '{path}': {exc.strerror or exc}") from None
-    print(f"wrote {path}")
+    for path in files:
+        print(f"wrote {path}")
 
 
 def _parse_bounds(text: str, allowed: Sequence[str]) -> list[str]:
@@ -343,8 +356,7 @@ def _sweep_text(table, fmt: str) -> str:
 def _write_regions(out_dir: Path, regions: dict[str, RateRegion], args) -> int:
     # every text is built before the first file is written
     texts = {name: _region_text(name, region, args.samples, args.format) for name, region in regions.items()}
-    for name, text in texts.items():
-        _emit(out_dir / f"region_{name}.{args.format}", text)
+    _emit({out_dir / f"region_{name}.{args.format}": text for name, text in texts.items()})
     return EXIT_OK
 
 
@@ -391,7 +403,7 @@ def _cmd_powersweep(args) -> int:
 
     g = GaussianMacWt(args.pmax, args.pmax, args.sigma1sq, args.sigma2sq)
     text = _sweep_text(sweep(args.pmax, args.steps, g), args.format)
-    _emit(_output_dir(args) / f"powersweep.{args.format}", text)
+    _emit({_output_dir(args) / f"powersweep.{args.format}": text})
     return EXIT_OK
 
 
@@ -434,25 +446,27 @@ def _cmd_figure(args) -> int:
                 EXIT_INVARIANT, "optimal sum rate decreased along the sweep", label="invariant violation"
             )
         text = _sweep_text(table, "csv")
-    _emit(out_dir / f"fig{which}.csv", text)
+    _emit({out_dir / f"fig{which}.csv": text})
     return EXIT_OK
 
 
 # --- fm-verify ------------------------------------------------------------------
 
 
-def _sample_tuples(count: int, seed: int) -> list[tuple[str, tuple[Fraction, ...]]]:
-    """Seeded rational (a, b, c, d, e) tuples in [0, 4] with denominator <= 64."""
+def _fm_cases(count: int, seed: int) -> list[tuple[str, tuple]]:
+    """The corner battery, then ``count`` seeded rational (a, b, c, d, e)
+    tuples in [0, 4] with denominator <= 64, each as ``(name, Fractions)``."""
+    import random
+    from fractions import Fraction
+
     rng = random.Random(seed)
-    out = []
-    for index in range(count):
-        values = []
-        for _ in range(5):
-            den = rng.randint(1, 64)
-            num = rng.randint(0, 4 * den)
-            values.append(Fraction(num, den))
-        out.append((f"sample_{index:04d}", tuple(values)))
-    return out
+
+    def rational() -> Fraction:
+        den = rng.randint(1, 64)
+        return Fraction(rng.randint(0, 4 * den), den)
+
+    corners = [(name, tuple(Fraction(*pair) for pair in pairs)) for name, pairs in _CORNER_BATTERY]
+    return corners + [(f"sample_{index:04d}", tuple(rational() for _ in range(5))) for index in range(count)]
 
 
 def _vertices_text(vertices) -> str:
@@ -462,8 +476,10 @@ def _vertices_text(vertices) -> str:
 
 
 def _cmd_fm_verify(args) -> int:
+    from .fm import verify_hybrid_region_projection
+
     out_dir = _output_dir(args)
-    cases = list(_CORNER_BATTERY) + _sample_tuples(args.samples, args.seed)
+    cases = _fm_cases(args.samples, args.seed)
     records = [(name, consts, verify_hybrid_region_projection(*consts)) for name, consts in cases]
     if args.format == "csv":
         rows = ([name, *map(str, consts), "true" if check.match else "false"] for name, consts, check in records)
@@ -474,7 +490,7 @@ def _cmd_fm_verify(args) -> int:
             for name, consts, check in records
         ]
         text = _json_text({"cases": cases_doc})
-    _emit(out_dir / f"fm_verify.{args.format}", text)
+    _emit({out_dir / f"fm_verify.{args.format}": text})
     failures = [record for record in records if not record[2].match]
     print("fm-verify: %d instances checked, %d mismatches" % (len(records), len(failures)))
     for name, consts, check in failures:

@@ -11,18 +11,21 @@ closed form's sum cap is the same function the discrete search uses
 (``channels._hybrid_sum``), so the check certifies the formula the package
 writes, not a copy of it.
 
-Every coefficient is an integer and every bound a ``fractions.Fraction``;
-no floating-point comparison occurs anywhere in this module.  Float inputs
-are rationalized once at the boundary with denominators capped at 2**32,
-an error far below every tolerance used elsewhere in the package.  Vertex
-enumeration runs the polygon steps of ``regions``, which are generic over
-the number type and exact at tolerance 0.
+Every coefficient is an integer and no floating-point comparison occurs
+anywhere in this module.  Float inputs are rationalized once at the
+boundary with denominators capped at 2**32, an error far below every
+tolerance used elsewhere in the package.  Elimination and vertex
+enumeration run on integers end to end: each row is an integer vector
+``(coeffs, beta)`` over one system denominator ``D``, meaning
+``coeffs . x <= beta / D``.  ``fractions.Fraction`` appears only at the
+edges: the inputs, the public ``LinearSystem.rows`` view and the vertices.
 
-Rows are kept in a canonical normal form: the coefficient vector of each
-inequality ``coeffs . x <= bound`` is scaled to primitive integers (content
-divided out), identical coefficient vectors are merged keeping the tightest
-bound, satisfied constant rows are dropped, and a contradictory constant
-row collapses the whole system to the single marker row ``0 <= -1``.
+The rows are kept in one normal form: rows with the same direction (the
+primitive coefficient vector) are merged keeping the tightest bound, found
+by cross-multiplying, satisfied constant rows are dropped, and a
+contradictory constant row collapses the whole system to the single marker
+row ``0 <= -1``.  The public view divides each coefficient vector by its
+content (the gcd of its entries), and the bound with it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Iterable, Sequence
 
 from .channels import _hybrid_sum
 from .info import ValidationError
-from .regions import _feasible_intersections, _hull_ccw, _recession_direction
+from .regions import _hull_ccw, _recession_direction
 
 __all__ = [
     "LinearSystem",
@@ -54,6 +57,9 @@ RATIONALIZE_DENOMINATOR = 1 << 32
 # A normalized inequality: primitive integer coefficients and a rational
 # upper bound, meaning coeffs . x <= bound.
 Row = tuple[tuple[int, ...], Fraction]
+# The same inequality over a system denominator D: integer coefficients and
+# an integer bound beta, meaning coeffs . x <= beta / D.
+IntRow = tuple[tuple[int, ...], int]
 
 
 def as_rational(value) -> Fraction:
@@ -116,9 +122,10 @@ class LinearSystem:
                 b = -b
             elif relation != "<=":
                 raise ValidationError("relation must be '<=' or '>=', got %r" % relation)
-            rows.append(_canonical_row(vec, b))
+            rows.append((vec, b))
+        denominator, rows = _integer_rows(rows)
         object.__setattr__(self, "variable_names", names)
-        object.__setattr__(self, "rows", _normalize(len(names), rows))
+        object.__setattr__(self, "rows", _public_rows(denominator, _normalize(rows)))
 
     @classmethod
     def _from_rows(cls, names: tuple[str, ...], rows: tuple[Row, ...]) -> "LinearSystem":
@@ -146,25 +153,10 @@ def eliminate(system: LinearSystem, drop_variable: str) -> LinearSystem:
         raise ValidationError(
             "variable %r not in system %r" % (drop_variable, list(system.variable_names))
         ) from None
-    keep = [k for k in range(len(system.variable_names)) if k != idx]
-    names = tuple(system.variable_names[k] for k in keep)
-    upper = []
-    lower = []
-    rows = []
-    for coeffs, bound in system.rows:
-        weight = coeffs[idx]
-        reduced = tuple(coeffs[k] for k in keep)
-        if weight > 0:
-            upper.append((weight, reduced, bound))
-        elif weight < 0:
-            lower.append((-weight, reduced, bound))
-        else:
-            rows.append((reduced, bound))
-    for wu, ru, bu in upper:
-        for wl, rl, bl in lower:
-            combo = tuple(wl * u + wu * l for u, l in zip(ru, rl))
-            rows.append(_canonical_row(combo, wl * bu + wu * bl))
-    return LinearSystem._from_rows(names, _normalize(len(names), rows))
+    names = system.variable_names[:idx] + system.variable_names[idx + 1 :]
+    denominator, rows = _integer_rows(system.rows)
+    rows = _eliminate_rows(rows, idx)
+    return LinearSystem._from_rows(names, _public_rows(denominator, rows))
 
 
 def project_to(system: LinearSystem, keep_variables: Iterable[str]) -> LinearSystem:
@@ -180,19 +172,17 @@ def project_to(system: LinearSystem, keep_variables: Iterable[str]) -> LinearSys
     missing = keep.difference(system.variable_names)
     if missing:
         raise ValidationError("unknown variables in keep set: %s" % sorted(missing))
-    current = system
-    while True:
-        drops = [v for v in current.variable_names if v not in keep]
-        if not drops:
-            return current
+    names = system.variable_names
+    denominator, rows = _integer_rows(system.rows)
 
-        def pair_count(name: str) -> tuple[int, int]:
-            at = current.variable_names.index(name)
-            pos = sum(1 for coeffs, _ in current.rows if coeffs[at] > 0)
-            neg = sum(1 for coeffs, _ in current.rows if coeffs[at] < 0)
-            return pos * neg, at
+    def pair_count(at: int) -> int:
+        return sum(c[at] > 0 for c, _ in rows) * sum(c[at] < 0 for c, _ in rows)
 
-        current = eliminate(current, min(drops, key=pair_count))
+    while drops := [at for at, name in enumerate(names) if name not in keep]:
+        at = min(drops, key=pair_count)
+        rows = _eliminate_rows(rows, at)
+        names = names[:at] + names[at + 1 :]
+    return LinearSystem._from_rows(names, _public_rows(denominator, rows))
 
 
 RATE_SPLIT_VARIABLES = ("R1", "R2", "R10", "R11", "R1s", "R20", "R21", "R2s")
@@ -254,9 +244,13 @@ def exact_vertices(system: LinearSystem) -> tuple[tuple[Fraction, Fraction], ...
 
     Candidate points are all pairwise boundary-line intersections; the
     feasible ones are reduced to extreme points by an exact convex hull.
-    The recession test, the feasibility filter and the hull are the ones
-    ``regions.region_from_halfspaces`` uses on floats, run here at
-    tolerance 0.
+    Everything runs on integers: with every bound over the system
+    denominator D, the scaled system ``coeffs . (x, y) <= beta`` has its
+    intersections in homogeneous integer coordinates ``(x, y, m)``, ``m > 0``
+    and the gcd divided out, and a point is feasible when
+    ``c1*x + c2*y <= beta*m`` on every row.  The recession test and the hull
+    are the ones ``regions.region_from_halfspaces`` uses on floats, run here
+    at tolerance 0; ``Fraction`` vertices are built for the hull only.
     The result is ordered counterclockwise starting from the
     lexicographically smallest vertex, so equal regions give equal tuples.
     An infeasible system yields the empty tuple.  A feasible system that
@@ -270,14 +264,25 @@ def exact_vertices(system: LinearSystem) -> tuple[tuple[Fraction, Fraction], ...
         )
     if system.is_infeasible:
         return ()
-    lines = [(c1, c2, b) for (c1, c2), b in system.rows]
+    denominator, rows = _integer_rows(system.rows)
+    lines = [(c1, c2, beta) for (c1, c2), beta in rows]
     direction = _recession_direction(lines, det_tol=0)
     if direction is not None:
-        x, y = system.variable_names
-        if eliminate(eliminate(system, x), y).is_infeasible:
+        if _eliminate_rows(_eliminate_rows(rows, 0), 0):
             return ()
         raise ValidationError("system is unbounded along direction %r" % (direction,))
-    return tuple(_hull_ccw(_feasible_intersections(lines, tol=0, det_tol=0), 0))
+    points = set()
+    for i, (a1, a2, b1) in enumerate(lines):
+        for c1, c2, b2 in lines[i + 1 :]:
+            m = a1 * c2 - a2 * c1
+            if m:
+                x, y = b1 * c2 - b2 * a2, a1 * b2 - b1 * c1
+                g = math.gcd(x, y, m) if m > 0 else -math.gcd(x, y, m)
+                points.add((x // g, y // g, m // g))
+    points = [(x, y, m) for x, y, m in points if all(r1 * x + r2 * y <= r * m for r1, r2, r in lines)]
+    scale = math.lcm(*(m for _, _, m in points))
+    hull = _hull_ccw([(x * scale // m, y * scale // m) for x, y, m in points], 0)
+    return tuple((Fraction(x, scale * denominator), Fraction(y, scale * denominator)) for x, y in hull)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -322,22 +327,55 @@ def _information_constants(*values) -> list[Fraction]:
     return consts
 
 
-def _canonical_row(coeffs: tuple[int, ...], bound: Fraction) -> Row:
-    content = math.gcd(*coeffs)
-    if content > 1:
-        coeffs = tuple(c // content for c in coeffs)
-        bound = bound / content
-    return coeffs, bound
+def _integer_rows(rows: Sequence[Row]) -> tuple[int, list[IntRow]]:
+    """Rows with ``Fraction`` bounds as integer rows over their common denominator."""
+    denominator = math.lcm(*(bound.denominator for _, bound in rows))
+    return denominator, [(c, b.numerator * (denominator // b.denominator)) for c, b in rows]
 
 
-def _normalize(num_variables: int, rows: Iterable[Row]) -> tuple[Row, ...]:
-    merged: dict[tuple[int, ...], Fraction] = {}
-    for coeffs, bound in rows:
-        if not any(coeffs):
-            if bound < 0:
-                return (((0,) * num_variables, Fraction(-1)),)
+def _public_rows(denominator: int, rows: list[IntRow]) -> tuple[Row, ...]:
+    """Normalized integer rows as primitive coefficients and ``Fraction`` bounds."""
+    view = []
+    for coeffs, beta in rows:
+        content = math.gcd(*coeffs)
+        if not content:  # the marker row 0 <= -1, alone in its system
+            return ((coeffs, Fraction(-1)),)
+        view.append((tuple(c // content for c in coeffs), Fraction(beta, content * denominator)))
+    return tuple(view)
+
+
+def _eliminate_rows(rows: list[IntRow], idx: int) -> list[IntRow]:
+    """One Fourier-Motzkin step on integer rows: every upper bound on
+    variable ``idx`` is combined with every lower bound."""
+    upper, lower, out = [], [], []
+    for coeffs, beta in rows:
+        weight = coeffs[idx]
+        reduced = coeffs[:idx] + coeffs[idx + 1 :]
+        if weight > 0:
+            upper.append((weight, reduced, beta))
+        elif weight < 0:
+            lower.append((-weight, reduced, beta))
+        else:
+            out.append((reduced, beta))
+    for wu, ru, bu in upper:
+        for wl, rl, bl in lower:
+            out.append((tuple(wl * u + wu * l for u, l in zip(ru, rl)), wl * bu + wu * bl))
+    return _normalize(out)
+
+
+def _normalize(rows: Iterable[IntRow]) -> list[IntRow]:
+    """The normal form of integer rows over one denominator, sorted by
+    direction; of two rows with one direction, the one with the smaller
+    bound over content is kept, compared by cross-multiplying."""
+    merged: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = {}
+    for coeffs, beta in rows:
+        content = math.gcd(*coeffs)
+        if not content:
+            if beta < 0:
+                return [(coeffs, -1)]  # the marker row 0 <= -1
             continue
-        held = merged.get(coeffs)
-        if held is None or bound < held:
-            merged[coeffs] = bound
-    return tuple(sorted(merged.items()))
+        direction = tuple(c // content for c in coeffs) if content > 1 else coeffs
+        held = merged.get(direction)
+        if held is None or beta * held[2] < held[1] * content:
+            merged[direction] = (coeffs, beta, content)
+    return [merged[direction][:2] for direction in sorted(merged)]

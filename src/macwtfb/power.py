@@ -10,13 +10,16 @@ of the power cap.
 All rates are in bits.  The closed form is only meaningful when the
 per-transmitter saturation power (2*pi*e*sigma1_sq - 1)*sigma2_sq/2 is
 nonnegative, i.e. sigma1_sq >= 1/(2*pi*e); smaller main-channel variances
-are rejected rather than silently extrapolated.
+are rejected rather than silently extrapolated.  So are variances whose
+breakpoint (2*pi*e*sigma1_sq - 1)*sigma2_sq is nonzero but subnormal: there
+the breakpoint keeps too few bits for the two branches to agree on it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -64,8 +67,7 @@ def saturation_threshold(g: GaussianMacWt) -> float:
     """Per-transmitter power (2*pi*e*sigma1_sq - 1)*sigma2_sq/2 at which the
     symmetric optimum stops growing when the eavesdropper's channel is the
     noisier one."""
-    _check_domain(g)
-    return 0.5 * (TWO_PI_E * g.sigma1_sq - 1.0) * g.sigma2_sq
+    return _check_domain(g)
 
 
 def sum_rate(p1: float, p2: float, g: GaussianMacWt) -> float:
@@ -92,10 +94,9 @@ def optimal_power(power_cap: float, g: GaussianMacWt) -> PowerControlResult:
     both transmitters use min(cap, threshold).  Otherwise the rate is
     nondecreasing in the total power and the corner (cap, cap) is optimal.
     """
-    _check_domain(g)
+    threshold = saturation_threshold(g)
     if not math.isfinite(power_cap) or power_cap < 0.0:
         raise ValidationError("power cap must be finite and nonnegative, got %g" % power_cap)
-    threshold = saturation_threshold(g)
     regime = ABOVE_THRESHOLD if power_cap >= threshold else BELOW_THRESHOLD
     if g.sigma1_sq > g.sigma2_sq and power_cap >= threshold:
         rate = 0.5 * math.log2(1.0 + 2.0 * threshold / g.sigma1_sq)
@@ -119,13 +120,22 @@ def sweep(
     return [(float(cap), optimal_power(float(cap), g)) for cap in caps]
 
 
-def _check_domain(g: GaussianMacWt) -> None:
+def _check_domain(g: GaussianMacWt) -> float:
+    """The saturation threshold of ``g``, once ``g`` is checked to lie in
+    the domain of the closed form."""
     if g.sigma1_sq < MIN_SIGMA1_SQ:
         raise ValidationError(
             "sigma1_sq=%g is below 1/(2*pi*e)=%.12g, so the breakpoint "
             "(2*pi*e*sigma1_sq - 1)*sigma2_sq of the piecewise sum rate is "
             "negative and the closed form does not apply" % (g.sigma1_sq, MIN_SIGMA1_SQ)
         )
+    threshold = 0.5 * (TWO_PI_E * g.sigma1_sq - 1.0) * g.sigma2_sq
+    if 0.0 < 2.0 * threshold < sys.float_info.min:
+        raise ValidationError(
+            "sigma1_sq=%g and sigma2_sq=%g make the breakpoint (2*pi*e*sigma1_sq - 1)*sigma2_sq "
+            "subnormal, where the two branches of the sum rate disagree" % (g.sigma1_sq, g.sigma2_sq)
+        )
+    return threshold
 
 
 def _rate_of_total(total: np.ndarray, g: GaussianMacWt) -> np.ndarray:

@@ -12,12 +12,13 @@ Every inner region of the package has one shape, built by
 
 All comparisons use the absolute tolerance TOL = 1e-9.
 
-The vertex-enumeration steps are written once, generic over the number
-type: the recession-direction test (``_recession_direction``), the
-feasible pairwise intersections (``_feasible_intersections``) and the
+Two polygon steps are shared with the exact vertex enumeration of
+``fm.exact_vertices``: the recession-direction test
+(``_recession_direction``), which reads only the coefficients, and the
 convex hull (``_hull_ccw``).  ``region_from_halfspaces`` calls them on
-floats at ``TOL``; ``fm.exact_vertices`` calls them on integer
-coefficients and ``Fraction`` bounds at tolerance 0.
+floats at ``TOL``; ``fm.exact_vertices`` calls them on integers at
+tolerance 0 and enumerates its candidate points itself, so the feasible
+pairwise intersections (``_feasible_intersections``) are float-only.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ def _recession_direction(lines, det_tol=_DET_TOL) -> tuple | None:
     one of its constraints, so ``±(-c2, c1)`` of every line are the only
     candidates, or ``(1, 0)`` when there are no lines.  None means a
     nonempty intersection is bounded; an empty one may still have a
-    direction.  Generic over the number type like
-    ``_feasible_intersections``.
+    direction.  Generic over the number type: integer coefficients at
+    ``det_tol=0`` give the exact answer.
     """
     candidates = [d for c1, c2, _ in lines for d in ((-c2, c1), (c2, -c1))] or [(1, 0)]
     for d in candidates:
@@ -143,23 +144,21 @@ def _recession_direction(lines, det_tol=_DET_TOL) -> tuple | None:
     return None
 
 
-def _feasible_intersections(lines, tol=TOL, det_tol=_DET_TOL) -> list[tuple]:
+def _feasible_intersections(lines) -> list[tuple[float, float]]:
     """Pairwise intersections of the lines c1*x + c2*y = b that satisfy
-    every c1*x + c2*y <= b within ``tol``, in first-seen pair order.
+    every c1*x + c2*y <= b within ``TOL``, in first-seen pair order.
 
-    Generic over the number type: pairs whose determinant is within
-    ``det_tol`` of zero are skipped and repeated points are tested once,
-    so ``tol=0, det_tol=0`` with integer coefficients and ``Fraction``
-    bounds gives the exact rational vertex candidates.
+    Pairs whose determinant is within ``_DET_TOL`` of zero count as
+    parallel and are skipped; repeated points are tested once.
     """
-    relaxed = [(c1, c2, b + tol) for c1, c2, b in lines]
+    relaxed = [(c1, c2, b + TOL) for c1, c2, b in lines]
     feasible: dict[tuple, bool] = {}  # keyed in first-seen order
     for i in range(len(lines)):
         a1, a2, b1 = lines[i]
         for j in range(i + 1, len(lines)):
             c1, c2, b2 = lines[j]
             det = a1 * c2 - a2 * c1
-            if abs(det) <= det_tol:
+            if abs(det) <= _DET_TOL:
                 continue
             p = ((b1 * c2 - b2 * a2) / det, (a1 * b2 - b1 * c1) / det)
             if p not in feasible:
@@ -184,7 +183,7 @@ def _hull_ccw(points: list[tuple], tol=TOL) -> list[tuple]:
 
     Collinear intermediate points are removed; a turn counts as collinear
     within ``tol`` times the point extent.  With ``tol=0`` the hull of
-    ``Fraction`` points is exact.
+    integer points is exact.
     """
     pts = sorted(points)
     if len(pts) <= 2:

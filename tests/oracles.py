@@ -11,17 +11,29 @@ pinned goldens: ``scalar_factorized_quantities`` scores one input law,
 on Python floats, and ``sequential_best_of_restarts`` runs the restarts of
 one objective one after another with ``sequential_ascend``.  The batched
 search must match them bit for bit.
+
+The ``Fraction`` Fourier-Motzkin steps below are the exact elimination as
+it was before it ran on integer rows, kept verbatim as the ``==``
+reference: ``fraction_system`` normalizes ``Fraction`` rows the way the
+``LinearSystem`` constructor did, ``fraction_eliminate`` and
+``fraction_project_to`` combine ``Fraction`` bounds row by row, and
+``fraction_exact_vertices``
+intersects lines with ``Fraction`` coordinates through the number-generic
+``fraction_feasible_intersections``.
 """
 
 import math
-from typing import Callable, Sequence
+from fractions import Fraction
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from macwtfb.channels import GaussianMacWt, InputFactorization
 from macwtfb.discrete import _DECAY_PATIENCE, _INITIAL_STEP, _STEP_DECAY, SearchConfig
+from macwtfb.fm import LinearSystem, Row, as_rational
 from macwtfb.info import ValidationError
 from macwtfb.power import _check_domain, _rate_of_total
+from macwtfb.regions import _hull_ccw, _recession_direction
 
 
 def grid_oracle(
@@ -184,3 +196,160 @@ def sequential_ascend(
         if stalled % _DECAY_PATIENCE == 0:
             step *= _STEP_DECAY
     return best
+
+
+# --- Fraction Fourier-Motzkin, before integer rows ----------------------------------
+
+
+def fraction_system(variable_names: Sequence[str], inequalities) -> LinearSystem:
+    """The constructor's row normalization on ``Fraction`` bounds (inputs
+    assumed valid): ``>=`` rows negated, each row made primitive, then
+    merged."""
+    names = tuple(variable_names)
+    rows = []
+    for coeffs, relation, bound in inequalities:
+        vec = tuple(coeffs)
+        b = as_rational(bound)
+        if relation == ">=":
+            vec = tuple(-c for c in vec)
+            b = -b
+        rows.append(_canonical_row(vec, b))
+    return LinearSystem._from_rows(names, _normalize(len(names), rows))
+
+
+def fraction_eliminate(system: LinearSystem, drop_variable: str) -> LinearSystem:
+    """One Fourier-Motzkin step: project out ``drop_variable``.
+
+    Rows not involving the variable pass through; every upper bound on it
+    is combined with every lower bound.  The projection is exact: the
+    result's feasible set is precisely the shadow of the input's.
+    """
+    try:
+        idx = system.variable_names.index(drop_variable)
+    except ValueError:
+        raise ValidationError(
+            "variable %r not in system %r" % (drop_variable, list(system.variable_names))
+        ) from None
+    keep = [k for k in range(len(system.variable_names)) if k != idx]
+    names = tuple(system.variable_names[k] for k in keep)
+    upper = []
+    lower = []
+    rows = []
+    for coeffs, bound in system.rows:
+        weight = coeffs[idx]
+        reduced = tuple(coeffs[k] for k in keep)
+        if weight > 0:
+            upper.append((weight, reduced, bound))
+        elif weight < 0:
+            lower.append((-weight, reduced, bound))
+        else:
+            rows.append((reduced, bound))
+    for wu, ru, bu in upper:
+        for wl, rl, bl in lower:
+            combo = tuple(wl * u + wu * l for u, l in zip(ru, rl))
+            rows.append(_canonical_row(combo, wl * bu + wu * bl))
+    return LinearSystem._from_rows(names, _normalize(len(names), rows))
+
+
+def fraction_project_to(system: LinearSystem, keep_variables: Iterable[str]) -> LinearSystem:
+    """Eliminate every variable outside ``keep_variables``.
+
+    At each step the variable with the fewest upper-times-lower bound
+    pairs is eliminated first, which keeps intermediate systems small on
+    the block-structured inputs this package produces.
+    """
+    keep = set(keep_variables)
+    if not keep:
+        raise ValidationError("must keep at least one variable")
+    missing = keep.difference(system.variable_names)
+    if missing:
+        raise ValidationError("unknown variables in keep set: %s" % sorted(missing))
+    current = system
+    while True:
+        drops = [v for v in current.variable_names if v not in keep]
+        if not drops:
+            return current
+
+        def pair_count(name: str) -> tuple[int, int]:
+            at = current.variable_names.index(name)
+            pos = sum(1 for coeffs, _ in current.rows if coeffs[at] > 0)
+            neg = sum(1 for coeffs, _ in current.rows if coeffs[at] < 0)
+            return pos * neg, at
+
+        current = fraction_eliminate(current, min(drops, key=pair_count))
+
+
+def fraction_exact_vertices(system: LinearSystem) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Vertices of a bounded two-variable system, in exact rationals.
+
+    Candidate points are all pairwise boundary-line intersections; the
+    feasible ones are reduced to extreme points by an exact convex hull.
+    The recession test, the feasibility filter and the hull are the ones
+    ``regions.region_from_halfspaces`` uses on floats, run here at
+    tolerance 0.
+    The result is ordered counterclockwise starting from the
+    lexicographically smallest vertex, so equal regions give equal tuples.
+    An infeasible system yields the empty tuple.  A feasible system that
+    is unbounded raises ``ValidationError`` naming a direction along which
+    it is unbounded (every system built in this module is bounded).
+    """
+    if len(system.variable_names) != 2:
+        raise ValidationError(
+            "vertex enumeration needs exactly two variables, got %d"
+            % len(system.variable_names)
+        )
+    if system.is_infeasible:
+        return ()
+    lines = [(c1, c2, b) for (c1, c2), b in system.rows]
+    direction = _recession_direction(lines, det_tol=0)
+    if direction is not None:
+        x, y = system.variable_names
+        if fraction_eliminate(fraction_eliminate(system, x), y).is_infeasible:
+            return ()
+        raise ValidationError("system is unbounded along direction %r" % (direction,))
+    return tuple(_hull_ccw(fraction_feasible_intersections(lines, tol=0, det_tol=0), 0))
+
+
+def fraction_feasible_intersections(lines, tol, det_tol) -> list[tuple]:
+    """Pairwise intersections of the lines c1*x + c2*y = b that satisfy
+    every c1*x + c2*y <= b within ``tol``, in first-seen pair order.
+
+    Generic over the number type: pairs whose determinant is within
+    ``det_tol`` of zero are skipped and repeated points are tested once,
+    so ``tol=0, det_tol=0`` with integer coefficients and ``Fraction``
+    bounds gives the exact rational vertex candidates.
+    """
+    relaxed = [(c1, c2, b + tol) for c1, c2, b in lines]
+    feasible: dict[tuple, bool] = {}  # keyed in first-seen order
+    for i in range(len(lines)):
+        a1, a2, b1 = lines[i]
+        for j in range(i + 1, len(lines)):
+            c1, c2, b2 = lines[j]
+            det = a1 * c2 - a2 * c1
+            if abs(det) <= det_tol:
+                continue
+            p = ((b1 * c2 - b2 * a2) / det, (a1 * b2 - b1 * c1) / det)
+            if p not in feasible:
+                feasible[p] = all(r1 * p[0] + r2 * p[1] <= r for r1, r2, r in relaxed)
+    return [p for p, ok in feasible.items() if ok]
+
+
+def _canonical_row(coeffs: tuple[int, ...], bound: Fraction) -> Row:
+    content = math.gcd(*coeffs)
+    if content > 1:
+        coeffs = tuple(c // content for c in coeffs)
+        bound = bound / content
+    return coeffs, bound
+
+
+def _normalize(num_variables: int, rows: Iterable[Row]) -> tuple[Row, ...]:
+    merged: dict[tuple[int, ...], Fraction] = {}
+    for coeffs, bound in rows:
+        if not any(coeffs):
+            if bound < 0:
+                return (((0,) * num_variables, Fraction(-1)),)
+            continue
+        held = merged.get(coeffs)
+        if held is None or bound < held:
+            merged[coeffs] = bound
+    return tuple(sorted(merged.items()))

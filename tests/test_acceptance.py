@@ -25,7 +25,7 @@ from macwtfb.channels import (
     WiretapKernel,
     info_quantities,
 )
-from macwtfb.cli import _CORNER_BATTERY, _sample_tuples
+from macwtfb.cli import _fm_cases
 from macwtfb.discrete import (
     SearchConfig,
     df_region_for_input,
@@ -156,7 +156,7 @@ def test_criterion_4_branch_agreement_at_breakpoint():
 
 def test_criterion_5_elimination_matches_closed_form_exactly():
     started = time.perf_counter()
-    cases = list(_CORNER_BATTERY) + _sample_tuples(1000, 7)
+    cases = _fm_cases(1000, 7)
     for name, consts in cases:
         check = verify_hybrid_region_projection(*consts)
         assert check.match, (

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from macwtfb import cli, discrete, power
+from macwtfb import cli, discrete, fm, power
 from macwtfb.channels import GaussianMacWt
 from macwtfb.cli import (
     EXIT_FAILURE,
@@ -403,7 +403,7 @@ def test_fm_verify_json_report(tmp_path):
 
 
 def test_fm_verify_mismatch_keeps_the_file_and_reports_both_vertex_sets(tmp_path, capsys, monkeypatch):
-    real = cli.verify_hybrid_region_projection
+    real = fm.verify_hybrid_region_projection
 
     def flip_corner_e_zero(*consts):
         check = real(*consts)
@@ -411,7 +411,7 @@ def test_fm_verify_mismatch_keeps_the_file_and_reports_both_vertex_sets(tmp_path
             return dataclasses.replace(check, match=False, projected_vertices=((Fraction(1, 3), Fraction(0)),))
         return check
 
-    monkeypatch.setattr(cli, "verify_hybrid_region_projection", flip_corner_e_zero)
+    monkeypatch.setattr(fm, "verify_hybrid_region_projection", flip_corner_e_zero)
     code = main(["fm-verify", "--samples", "2", "--output-dir", str(tmp_path)])
     assert code == EXIT_FAILURE
     captured = capsys.readouterr()
@@ -499,7 +499,7 @@ def test_unusable_output_dir_is_usage_error(tmp_path, capsys, monkeypatch, comma
             ["region", "gaussian", *FIG2_FLAGS, "--bounds", "df,hybrid"],
             "macwtfb region gaussian",
             "region_hybrid.csv",
-            ["region_df.csv"],
+            [],
         ),
     ],
     ids=["figure", "region_second_file"],
@@ -512,6 +512,16 @@ def test_unwritable_output_file_is_usage_error(tmp_path, capsys, argv, prog, blo
     assert captured.err.splitlines() == [f"{prog}: error: cannot write '{tmp_path / blocked}': Is a directory"]
     assert "Traceback" not in captured.err
     assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == written
+
+
+def test_written_files_replace_their_targets_and_leave_no_temporary(tmp_path, capsys):
+    (tmp_path / "region_df.csv").write_text("stale\n", encoding="utf-8")
+    argv = ["region", "gaussian", *FIG2_FLAGS, "--bounds", "df,hybrid,ty,outer"]
+    assert main([*argv, "--output-dir", str(tmp_path)]) == EXIT_OK
+    names = ["region_df.csv", "region_hybrid.csv", "region_ty.csv", "region_outer.csv"]
+    assert capsys.readouterr().out.splitlines() == [f"wrote {tmp_path / name}" for name in names]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    assert (tmp_path / "region_df.csv").read_text(encoding="utf-8").startswith("section,index,r1,r2\n")
 
 
 ENTROPY_FLOOR_WARNING = (

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macwtfb.channels import InfoQuantities
@@ -22,6 +22,7 @@ from macwtfb.fm import (
 )
 from macwtfb.info import ValidationError
 from macwtfb.regions import region_from_halfspaces
+from oracles import fraction_eliminate, fraction_exact_vertices, fraction_project_to, fraction_system
 
 rationals = st.fractions(min_value=0, max_value=4, max_denominator=64)
 
@@ -375,3 +376,54 @@ def test_closed_form_system_matches_searched_hybrid_region(a, b, c, d, e):
     for (ex, ey), (fx, fy) in zip(exact, region.vertices):
         assert float(ex) == pytest.approx(fx, abs=1e-9)
         assert float(ey) == pytest.approx(fy, abs=1e-9)
+
+
+# --- integer rows against the Fraction oracle ---------------------------------------
+
+
+@st.composite
+def small_systems(draw):
+    """Variable names and inequalities: 2-4 variables, integer coefficients
+    in [-3, 3], rational bounds with denominators up to 64."""
+    names = ("w", "x", "y", "z")[: draw(st.integers(2, 4))]
+    row = st.tuples(
+        st.tuples(*[st.integers(-3, 3)] * len(names)),
+        st.sampled_from(("<=", ">=")),
+        st.fractions(min_value=-4, max_value=4, max_denominator=64),
+    )
+    return names, draw(st.lists(row, max_size=7))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValidationError as error:
+        return "ValidationError: %s" % error
+
+
+BOX = [((1, 0), "<=", 2), ((1, 0), ">=", -2), ((0, 1), "<=", 2), ((0, 1), ">=", -2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems())
+@example((("x", "y"), BOX + [((2, 0), "<=", F(4, 3)), ((4, 0), "<=", F(2, 3)), ((3, 3), "<=", 1)]))
+@example((("x", "y"), BOX + [((1, 1), "<=", F(1, 2)), ((2, 2), ">=", F(-1, 3)), ((1, -1), "<=", 0)]))
+@example((("x", "y", "z"), [((1, 0, 0), ">=", 2), ((1, 0, 0), "<=", 1), ((0, 1, 1), "<=", F(1, 64))]))
+@example((("x", "y"), [((1, 0), "<=", F(1, 3)), ((1, -1), "<=", 0)]))
+@example((("x", "y"), [((1, 0), "<=", -1), ((1, 0), ">=", 0), ((0, 0), "<=", 1)]))
+@example((("w", "x", "y", "z"), [((1, 1, 1, 1), "<=", F(5, 7)), ((0, 0, 0, 0), ">=", F(1, 64))]))
+def test_integer_rows_match_the_fraction_oracle(case):
+    # The examples: duplicate directions, parallel rows, an infeasible
+    # system, an unbounded one, an infeasible unbounded one and a false
+    # constant row.
+    names, inequalities = case
+    system = LinearSystem(names, inequalities)
+    assert system == fraction_system(names, inequalities)
+    for name in names:
+        assert eliminate(system, name) == fraction_eliminate(system, name)
+    for keep in (names[:1], names[:2], names[-2:]):
+        projected = project_to(system, keep)
+        assert projected == fraction_project_to(system, keep)
+        if len(keep) == 2:
+            exact = _outcome(lambda: exact_vertices(projected))
+            assert exact == _outcome(lambda: fraction_exact_vertices(projected))

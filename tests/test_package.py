@@ -1,5 +1,6 @@
 """The package root exports what the README's library example imports,
-and the closed-form commands run without loading numpy."""
+the closed-form commands run without loading numpy, and only fm-verify
+loads the elimination module."""
 
 import ast
 import json
@@ -30,12 +31,13 @@ def test_readme_imports_are_exported_from_the_package_root():
 
 
 # Runs in a fresh interpreter, so that no test has loaded numpy before it;
-# prints one JSON record per step: [step or command, exit code, numpy loaded].
+# prints one JSON record per step:
+# [step or command, exit code, numpy loaded, macwtfb.fm loaded].
 _IMPORT_RULE_SCRIPT = """
 import json, sys
 
 def record(step, code=0):
-    print(json.dumps([step, code, "numpy" in sys.modules]))
+    print(json.dumps([step, code, "numpy" in sys.modules, "macwtfb.fm" in sys.modules]))
 
 out, channel = sys.argv[1], sys.argv[2]
 import macwtfb.cli as cli
@@ -70,11 +72,11 @@ def test_closed_form_commands_never_import_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     records = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
     assert records == [
-        ["import macwtfb.cli", 0, False],
-        ["region", 0, False],
-        ["figure", 0, False],
-        ["fm-verify", 0, False],
-        ["region", 0, True],
-        ["powersweep", 0, True],
-        ["from macwtfb import search_inner, optimal_power", 0, True],
+        ["import macwtfb.cli", 0, False, False],
+        ["region", 0, False, False],
+        ["figure", 0, False, False],
+        ["fm-verify", 0, False, True],
+        ["region", 0, True, True],
+        ["powersweep", 0, True, True],
+        ["from macwtfb import search_inner, optimal_power", 0, True, True],
     ], proc.stderr

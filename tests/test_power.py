@@ -1,6 +1,7 @@
 """Power control: frozen optimum values, branch continuity, oracle agreement."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +149,40 @@ def test_main_variance_below_entropy_floor_rejected():
     ):
         with pytest.raises(ValidationError):
             call()
+
+
+@pytest.mark.parametrize(
+    "s1, s2",
+    [(1.0, 1e-310), (MIN_SIGMA1_SQ * (1.0 + 2.0**-40), 1e-300)],
+    ids=["tiny_sigma2", "sigma1_near_floor"],
+)
+def test_subnormal_breakpoint_rejected(s1, s2):
+    # The breakpoint (2 pi e s1 - 1) s2 is nonzero but below the smallest
+    # normal float, where the two branches disagree at it.
+    g = GaussianMacWt(0.0, 0.0, s1, s2)
+    assert 0.0 < (TWO_PI_E * s1 - 1.0) * s2 < sys.float_info.min
+    for call in (
+        lambda: sum_rate(0.0, 0.0, g),
+        lambda: optimal_power(1.0, g),
+        lambda: grid_oracle(1.0, g, 3),
+        lambda: sweep(1.0, 3, g),
+        lambda: saturation_threshold(g),
+    ):
+        with pytest.raises(ValidationError, match=f"sigma1_sq={s1:g} and sigma2_sq={s2:g} "):
+            call()
+
+
+@pytest.mark.parametrize("s1", [1.0, MIN_SIGMA1_SQ], ids=["normal_breakpoint", "zero_breakpoint"])
+def test_tiny_eavesdropper_variance_accepted(s1):
+    # sigma2_sq = 1e-300: at sigma1_sq = 1 the breakpoint 1.6e-299 is a
+    # normal float and both branches agree on it; at the entropy floor it
+    # is exactly 0.
+    g = GaussianMacWt(0.0, 0.0, s1, 1e-300)
+    total = 2.0 * saturation_threshold(g)
+    above = 0.5 * math.log2(1.0 + total / s1) - 0.5 * math.log2(1.0 + total / 1e-300)
+    above += 0.5 * math.log2(TWO_PI_E * s1)
+    assert sum_rate(total, 0.0, g) == pytest.approx(above, abs=1e-12)
+    assert optimal_power(1.0, g).threshold == total / 2.0
 
 
 def test_negative_arguments_rejected():
