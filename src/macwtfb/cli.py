@@ -314,9 +314,10 @@ def _emit(files: dict[Path, str]) -> None:
         for path, temporary in temporaries.items():
             os.replace(temporary, path)
     except OSError as exc:
+        raise ValidationError(f"cannot write '{path}': {exc.strerror or exc}") from None
+    finally:  # every temporary is renamed on success; remove any a failure left
         for temporary in temporaries.values():
             temporary.unlink(missing_ok=True)
-        raise ValidationError(f"cannot write '{path}': {exc.strerror or exc}") from None
     for path in files:
         print(f"wrote {path}")
 
