@@ -10,11 +10,13 @@ functions of the kernel, the configuration and the seed.
 The restarts run in lockstep.  A *lane* is one independent ascent, one
 (objective, restart) pair: ``search_inner`` has three objectives times R
 restarts per auxiliary cardinality, the other searches R lanes.  All lanes
-walk the same sequence of trial moves, each with its own step, stall count
-and stop, and one batched evaluation scores every lane a move changes.
-Lanes never interact and the batched evaluation gives each lane the bits a
-one-law evaluation would give, so every lane ends exactly where its restart
-would end alone, and the winners are merged in restart order.
+sweep the same rows, each with its own step, stall count and stop, and one
+batched evaluation scores every trial move of a row for every lane; a lane
+that keeps a move has its later moves of the row rebuilt from the new row
+and scored in the next evaluation.  Lanes never interact and the batched
+evaluation gives each lane the bits a one-law evaluation would give, so
+every lane ends exactly where its restart would end alone, and the winners
+are merged in restart order.
 
 Single-letter quantities for one input law come from the channels module;
 the search loop uses a private batched einsum evaluation of the same
@@ -375,18 +377,22 @@ def _ascend(
     """Projected coordinate ascent of every lane over the rows of its
     blocks, in place; returns each lane's best value.
 
-    All lanes walk the same sequence of trial moves.  Each move bumps one
-    coordinate of one row by the lane's current step (both signs tried),
-    clips at zero and renormalizes the row; one objective call scores every
-    lane the move changes, and a lane keeps the move when its value
-    improves by more than 1e-15.  A lane is not moved once it has stopped
-    or when its bumped row is bit-for-bit unchanged; when no lane moves,
-    nothing is scored.  Each lane has its own step, stall counter and stop:
-    the step starts at ``_INITIAL_STEP`` and halves after every
-    ``_DECAY_PATIENCE`` sweeps without improvement, and a lane stops after
-    three such windows.  The step never exceeds ``_INITIAL_STEP`` and every
-    row sums to 1, so a bumped row sums to at least 0.75.  Deterministic:
-    no randomness beyond the initial blocks.
+    Each trial move bumps one letter of one row by the lane's current step,
+    clips at zero and renormalizes the row; the moves of a row go letter by
+    letter, ``+`` before ``-``, and a lane keeps a move when its value
+    improves by more than 1e-15.  A row's moves are scored in rounds of one
+    objective call each: every live lane builds all its remaining moves
+    from its current row, skips those that leave the row bit-for-bit
+    unchanged, and takes the first one that passes.  Its earlier moves
+    failed on the row a one-lane ascent would hold, and its later ones are
+    rebuilt from the new row for the next round, which holds only the
+    lanes that took a move; the row ends when none did.  So every lane
+    keeps exactly the moves it would keep alone.  Each lane has its own
+    step, stall counter and stop: the step starts at ``_INITIAL_STEP`` and
+    halves after every ``_DECAY_PATIENCE`` sweeps without improvement, and
+    a lane stops after three such windows.  The step never exceeds
+    ``_INITIAL_STEP`` and every row sums to 1, so a bumped row sums to at
+    least 0.75.  Deterministic: no randomness beyond the initial blocks.
     """
     best = np.asarray(objective(ids, *blocks), dtype=float)
     step = np.full(len(ids), _INITIAL_STEP)
@@ -394,26 +400,39 @@ def _ascend(
     live = np.ones(len(ids), dtype=bool)
     for _ in range(config.refinement_iterations):
         improved = np.zeros(len(ids), dtype=bool)
-        for block in blocks:
+        for k, block in enumerate(blocks):
+            moves = 2 * block.shape[2]  # move m bumps letter m // 2, by -step when m is odd
+            letter = np.arange(moves) // 2
+            sign = np.tile([1.0, -1.0], block.shape[2])
             for row in range(block.shape[1]):
-                for i in range(block.shape[2]):
-                    for sign in (1.0, -1.0):
-                        saved = block[:, row].copy()
-                        trial = saved.copy()
-                        bumped = trial[:, i] + sign * step
-                        trial[:, i] = np.where(bumped > 0.0, bumped, 0.0)
-                        trial /= trial.sum(axis=1, keepdims=True)
-                        moved = np.flatnonzero(live & (trial != saved).any(axis=1))
-                        if moved.size == 0:
-                            continue  # same blocks, same values: no lane can pass the rule
-                        block[moved, row] = trial[moved]
-                        value = np.asarray(
-                            objective(ids[moved], *(b[moved] for b in blocks)), dtype=float
-                        )
-                        kept = value > best[moved] + 1e-15
-                        best[moved[kept]] = value[kept]
-                        improved[moved[kept]] = True
-                        block[moved[~kept], row] = saved[moved[~kept]]
+                lanes = np.flatnonzero(live)
+                first = np.zeros(len(lanes), dtype=int)  # each lane's first untried move
+                while lanes.size:
+                    saved = block[lanes, row]
+                    pair = np.repeat(np.arange(len(lanes)), moves)  # (lane, move) pairs
+                    move = np.tile(np.arange(moves), len(lanes))
+                    trial = saved[pair]
+                    cell = (np.arange(len(pair)), letter[move])
+                    bumped = trial[cell] + sign[move] * step[lanes][pair]
+                    trial[cell] = np.where(bumped > 0.0, bumped, 0.0)
+                    trial /= trial.sum(axis=1, keepdims=True)
+                    scored = np.flatnonzero(
+                        (move >= first[pair]) & (trial != saved[pair]).any(axis=1)
+                    )
+                    if scored.size == 0:
+                        break  # an unchanged row keeps its value: no lane can pass the rule
+                    who = lanes[pair[scored]]
+                    trial_blocks = [b[who] for b in blocks]
+                    trial_blocks[k][:, row] = trial[scored]
+                    value = np.asarray(objective(ids[who], *trial_blocks), dtype=float)
+                    passed = np.flatnonzero(value > best[who] + 1e-15)
+                    # pairs run lane by lane in move order: take each lane's first pass
+                    take = passed[np.unique(who[passed], return_index=True)[1]]
+                    lanes = who[take]
+                    block[lanes, row] = trial[scored[take]]
+                    best[lanes] = value[take]
+                    improved[lanes] = True
+                    first = move[scored[take]] + 1
         stalled = np.where(improved, 0, stalled + 1)
         live &= stalled < 3 * _DECAY_PATIENCE
         step = np.where(live & ~improved & (stalled % _DECAY_PATIENCE == 0), step * _STEP_DECAY, step)

@@ -28,6 +28,8 @@ from macwtfb.discrete import (
     wyner_capacity,
 )
 from macwtfb.discrete import (
+    _BOUNDS,
+    _INNER_STREAM,
     _ascend,
     _best_of_restarts,
     _entropy_bits,
@@ -318,6 +320,42 @@ def test_ascent_skips_moves_that_leave_the_row_unchanged():
     assert calls == [3]
 
 
+def test_ascent_scores_a_row_in_one_call_when_no_lane_moves():
+    # A constant objective rejects every move, so each row of each sweep
+    # is one call scoring both lanes' six trial moves.
+    calls = []
+
+    def constant(ids, block):
+        calls.append(len(ids))
+        return [0.0] * len(ids)
+
+    _best_of_restarts([(2, 3)], [(9,)], constant, SearchConfig(restarts=2, refinement_iterations=4))
+    assert calls == [2] + [2 * 6] * (4 * 2)
+
+
+def test_a_lane_takes_two_moves_in_one_row():
+    # On the row [0.5, 0.5], lane 0 maximizes the first letter: it takes
+    # move 0 (letter 0 up) and, rebuilt from the new row, move 3 (letter 1
+    # down).  Lane 1 maximizes the second letter and takes moves 1 and 2.
+    # Each take starts another call holding the lane's remaining moves.
+    calls = []
+    objectives = [lambda b: float(b[0, 0]), lambda b: float(b[0, 1])]
+
+    def lanes(ids, block):
+        calls.append(len(ids))
+        return [objectives[s](block[j]) for j, s in enumerate(ids)]
+
+    config = SearchConfig(restarts=1, refinement_iterations=1)
+    blocks = [np.full((2, 1, 2), 0.5)]
+    values = _ascend(blocks, np.array([0, 1]), lanes, config)
+    assert calls == [2, 2 * 4, 3 + 2, 1]
+    for lane, objective in enumerate(objectives):
+        alone = [np.full((1, 2), 0.5)]
+        assert values[lane] == sequential_ascend(alone, objective, config)
+        assert np.array_equal(blocks[0][lane], alone[0])
+    np.testing.assert_allclose(blocks[0][:, 0], [[0.8, 0.2], [4.0 / 15.0, 11.0 / 15.0]])
+
+
 def _bumpy_objectives(rng, shapes):
     """Three objectives on which restarts climb, stall, halve their step
     and stop on different sweeps: linear (a vertex is reached and every
@@ -341,7 +379,7 @@ def _bumpy_objectives(rng, shapes):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    st.lists(st.tuples(st.integers(1, 2), st.integers(1, 3)), min_size=1, max_size=2),
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=2),
     st.integers(1, 3),
     st.integers(1, 110),
     st.integers(0, 2**32 - 1),
@@ -376,6 +414,33 @@ def test_lockstep_search_equals_the_sequential_restarts(shapes, restarts, iterat
         assert value == want_value
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("n1", [2, 3])
+def test_inner_search_objective_equals_the_scalar_oracle(n1):
+    # The real objective of search_inner through the lockstep ascent, ==
+    # the scalar kernel and scorer through the sequential restarts, on the
+    # same stream keys: equal values and blocks per (|U|, objective).
+    w = random_kernel(np.random.default_rng(43 + n1), n1, 2, 2, 2).transition
+    for kind_id, (sum_cap, _) in enumerate(_BOUNDS.values()):
+
+        def objective(ids, u, x1, x2):
+            return _scores(sum_cap, ids, _factorized_quantities(w, u[:, 0], x1, x2))
+
+        for u_size in range(1, FAST.u_cardinality_max + 1):
+            shapes = [(1, u_size), (u_size, n1), (u_size, 2)]
+            streams = [(_INNER_STREAM, kind_id, u_size, score_id) for score_id in range(3)]
+            best = _best_of_restarts(shapes, streams, objective, FAST)
+            for score_id, ((value, got), stream) in enumerate(zip(best, streams)):
+
+                def scalar(u, x1, x2):
+                    q = scalar_factorized_quantities(w, u[0], x1, x2)
+                    return scalar_scores(sum_cap, np.array([score_id]), [np.array([v]) for v in q])[0]
+
+                want_value, want = sequential_best_of_restarts(shapes, stream, scalar, FAST)
+                assert value == want_value
+                for g, v in zip(got, want):
+                    assert np.array_equal(g, v)
 
 
 # --- single-user rates -----------------------------------------------------------------

@@ -3,11 +3,15 @@ whose results differ.
 
     python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE \\
         --workloads closed-form-cli,fm-exact --seeds 0-39
+    python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE \\
+        --workloads discrete-search --seeds 0-3 --set umax=4 --set restarts=16
 
 A tree is a source checkout with the package under ``src/``, e.g. one
 made by ``git archive``.  The commands are those of ``bench/workloads.py``
 in the checkout that holds this script, one round per workload and seed;
-their input files are written once and read by both trees.  Each tree runs
+their input files are written once and read by both trees.  Each
+``--set NAME=VALUE`` replaces the value of ``--NAME`` in every command that
+has that flag; a setting no command has is an error.  Each tree runs
 its commands through its own ``macwtfb.cli.main`` in one child interpreter
 with ``PYTHONPATH=<tree>/src``.
 
@@ -67,6 +71,22 @@ def parse_seeds(text: str) -> range:
     return seeds
 
 
+def parse_setting(text: str) -> tuple[str, str]:
+    name, sep, value = text.partition("=")
+    if not sep or not name or name.startswith("-"):
+        raise argparse.ArgumentTypeError(f"--set takes NAME=VALUE, got {text!r}")
+    return name, value
+
+
+def with_settings(argv: tuple[str, ...], settings: list[tuple[str, str]]) -> list[str]:
+    """``argv`` with the value after each set ``--NAME`` it holds replaced."""
+    argv = list(argv)
+    for name, value in settings:
+        if "--" + name in argv[:-1]:
+            argv[argv.index("--" + name) + 1] = value
+    return argv
+
+
 def start_tree(tree: Path, argvs: list[list[str]], work: Path, side: str) -> subprocess.Popen:
     jobs = work / f"{side}_jobs.json"
     jobs.write_text(json.dumps(argvs), encoding="utf-8")
@@ -109,6 +129,14 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="source tree of the change")
     parser.add_argument("--workloads", required=True, help="comma-separated workload names")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="A or A-B, inclusive")
+    parser.add_argument(
+        "--set",
+        type=parse_setting,
+        action="append",
+        default=[],
+        metavar="NAME=VALUE",
+        help="replace the value of --NAME in every command that has it (repeatable)",
+    )
     args = parser.parse_args(argv)
     names = args.workloads.split(",")
     unknown = [name for name in names if name not in workloads.WORKLOADS]
@@ -126,10 +154,14 @@ def main(argv=None) -> int:
             for seed in args.seeds:
                 commands = workloads.build(name, seed, work / "inputs" / name / str(seed))
                 for i, command in enumerate(commands):
-                    labels.append((f"{name} seed {seed} #{i}", command.argv))
+                    argv = with_settings(command.argv, args.set)
+                    labels.append((f"{name} seed {seed} #{i}", argv))
                     for side in trees:
                         out_dir = work / side / name / str(seed) / f"c{i:02d}"
-                        argvs[side].append([*command.argv, "--output-dir", str(out_dir)])
+                        argvs[side].append([*argv, "--output-dir", str(out_dir)])
+        unused = [name for name, _ in args.set if not any("--" + name in argv[:-1] for _, argv in labels)]
+        if unused:
+            parser.error(f"--set {unused[0]}: no command has --{unused[0]}")
         children = {side: start_tree(tree, argvs[side], work, side) for side, tree in trees.items()}
         failed = [side for side, child in children.items() if child.wait() != 0]
         if failed:
