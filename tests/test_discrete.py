@@ -331,13 +331,21 @@ def test_ascent_scores_a_row_in_one_call_when_no_lane_moves():
 
     _best_of_restarts([(2, 3)], [(9,)], constant, SearchConfig(restarts=2, refinement_iterations=4))
     assert calls == [2] + [2 * 6] * (4 * 2)
+    # 36 lanes share the 72 pairs of a call, two moves each: three calls a
+    # row.  From 37 lanes on every call scores one move of every lane.
+    for restarts, row_calls in [(36, [36 * 2] * 3), (37, [37] * 6)]:
+        calls.clear()
+        config = SearchConfig(restarts=restarts, refinement_iterations=4)
+        _best_of_restarts([(2, 3)], [(9,)], constant, config)
+        assert calls == [restarts] + row_calls * (4 * 2)
 
 
 def test_a_lane_takes_two_moves_in_one_row():
     # On the row [0.5, 0.5], lane 0 maximizes the first letter: it takes
     # move 0 (letter 0 up) and, rebuilt from the new row, move 3 (letter 1
     # down).  Lane 1 maximizes the second letter and takes moves 1 and 2.
-    # Each take starts another call holding the lane's remaining moves.
+    # After a take a lane scores two moves in the next call, and twice as
+    # many after a call without a take.
     calls = []
     objectives = [lambda b: float(b[0, 0]), lambda b: float(b[0, 1])]
 
@@ -348,12 +356,42 @@ def test_a_lane_takes_two_moves_in_one_row():
     config = SearchConfig(restarts=1, refinement_iterations=1)
     blocks = [np.full((2, 1, 2), 0.5)]
     values = _ascend(blocks, np.array([0, 1]), lanes, config)
-    assert calls == [2, 2 * 4, 3 + 2, 1]
+    assert calls == [2, 2 * 4, 2 + 2, 1 + 1]
     for lane, objective in enumerate(objectives):
         alone = [np.full((1, 2), 0.5)]
         assert values[lane] == sequential_ascend(alone, objective, config)
         assert np.array_equal(blocks[0][lane], alone[0])
     np.testing.assert_allclose(blocks[0][:, 0], [[0.8, 0.2], [4.0 / 15.0, 11.0 / 15.0]])
+
+
+def test_a_lane_that_takes_every_other_move_scores_each_move_about_once():
+    # Maximizing the last letter from the uniform row, the lane alone
+    # rejects "+" and takes "-" on letters 0..4, then takes "+" and rejects
+    # "-" on letter 5: six takes in twelve moves.  The first call scores the
+    # whole row; after each take the lane scores the next two moves, here a
+    # rejection and the next take, until the take of move 10 discards move
+    # 11, which the last call scores again.  Rescoring every move after each
+    # take would need 12 + 10 + 8 + 6 + 4 + 2 + 1 evaluations.
+    calls = []
+
+    def last_letter(ids, block):
+        calls.append(len(ids))
+        return block[:, 0, -1].tolist()
+
+    config = SearchConfig(restarts=1, refinement_iterations=1)
+    blocks = [np.full((1, 1, 6), 1.0 / 6.0)]
+    value = _ascend(blocks, np.array([0]), last_letter, config)
+    assert calls == [1, 12] + [2] * 5 + [1]
+    sequential = []
+
+    def counted(block):
+        sequential.append(1)
+        return float(block[0, -1])
+
+    alone = [np.full((1, 6), 1.0 / 6.0)]
+    assert value == sequential_ascend(alone, counted, config)
+    assert np.array_equal(blocks[0][0], alone[0])
+    assert len(sequential) == 1 + 12
 
 
 def _bumpy_objectives(rng, shapes):
@@ -384,9 +422,12 @@ def _bumpy_objectives(rng, shapes):
     st.integers(1, 110),
     st.integers(0, 2**32 - 1),
 )
+@example([(2, 3)], 13, 110, 1)
 def test_lockstep_search_equals_the_sequential_restarts(shapes, restarts, iterations, seed):
     # Every lane of the lockstep ascent ends bit for bit where its restart
     # ends when run alone, and each objective's winner is the sequential one.
+    # The example's 39 lanes score one move per call until enough of them
+    # stop, and a window of moves per call after that.
     objectives = _bumpy_objectives(np.random.default_rng(seed), shapes)
     config = SearchConfig(restarts=restarts, refinement_iterations=iterations, seed=seed)
     streams = [(5, s) for s in range(len(objectives))]
