@@ -11,13 +11,13 @@ The restarts run in lockstep.  A *lane* is one independent ascent, one
 (objective, restart) pair: ``search_inner`` has three objectives times R
 restarts per auxiliary cardinality, the other searches R lanes.  All lanes
 sweep the same rows, each with its own step, stall count and stop.  A
-batched evaluation scores one trial move of every lane or, when few lanes
-are live, a window of several moves of a row for each; a lane that keeps a
-move has its later moves of the row rebuilt from the new row and scored in
-a later evaluation.  Lanes never interact and the batched evaluation gives
-each lane the bits a one-law evaluation would give, so every lane ends
-exactly where its restart would end alone, and the winners are merged in
-restart order.
+batched evaluation scores a window of at least one trial move of a row for
+every live lane, up to 72 (lane, move) pairs in all unless more than 72
+lanes are live; a lane that keeps a move has its later moves of the row
+rebuilt from the new row and scored in a later evaluation.  Lanes never
+interact and the batched evaluation gives each lane the bits a one-law
+evaluation would give, so every lane ends exactly where its restart would
+end alone, and the winners are merged in restart order.
 
 Single-letter quantities for one input law come from the channels module;
 the search loop uses a private batched einsum evaluation of the same
@@ -78,11 +78,13 @@ _INITIAL_STEP = 0.25
 _STEP_DECAY = 0.5
 _DECAY_PATIENCE = 25
 
-# Widest objective call of the ascent that scores several moves per lane:
-# the six moves of a 3-letter row for the 12 lanes of a 4-restart inner
-# search.  Below about 100 lanes a call of the 2- and 3-letter objectives
-# costs mostly its fixed overhead; on larger alphabets the per-lane work
-# dominates, and the cap keeps the discarded moves and the arrays small.
+# (lane, move) pairs per objective call of the ascent: the six moves of a
+# 3-letter row for the 12 lanes of a 4-restart inner search.  Each live lane
+# gets an equal share but at least one move, so above 36 live lanes a call
+# holds one move of each, and above 72 it holds more pairs.  Below about
+# 100 lanes a call of the 2- and 3-letter objectives costs mostly its fixed
+# overhead; on larger alphabets the per-lane work dominates, and the cap
+# keeps the discarded moves and the arrays small.
 _PAIRS_PER_CALL = 72
 
 
@@ -389,50 +391,29 @@ def _ascend(
     clips at zero and renormalizes the row; the moves of a row go letter by
     letter, ``+`` before ``-``, and a lane keeps a move when its value
     improves by more than 1e-15.  A move that leaves the row bit-for-bit
-    unchanged is not scored.  With more than ``_PAIRS_PER_CALL / 2`` live
-    lanes, one objective call scores one move of every lane, all lanes in
-    step.  With fewer, a row's moves are scored in rounds of one call each:
-    every lane tries a window of its next moves, built from its current row,
-    and takes the first one that passes.  Its earlier moves failed on the
-    row a one-lane ascent would hold, and its later ones are rebuilt from
-    the new row in the next round.  A lane's first window is the whole row;
-    after a take it is two moves, and it doubles after each round without a
-    take, so a run of takes costs about two evaluations per move rather than
-    a rescan of the row after each.  Windows are cut to an equal share of
-    ``_PAIRS_PER_CALL`` (lane, move) pairs, so no call is wider than the
-    larger of that and the lane count.  Every lane keeps exactly the moves
-    it would keep alone.  Each lane has its own step, stall counter and
-    stop: the step starts at ``_INITIAL_STEP`` and halves after every
-    ``_DECAY_PATIENCE`` sweeps without improvement, and a lane stops after
-    three such windows.  The step never exceeds ``_INITIAL_STEP`` and every
-    row sums to 1, so a bumped row sums to at least 0.75.  Deterministic: no
-    randomness beyond the initial blocks.
+    unchanged is not scored.  A row's moves are scored in rounds of one
+    objective call each: every live lane tries a window of its next moves,
+    built from its current row, and takes the first one that passes.  Its
+    earlier moves failed on the row a one-lane ascent would hold, and its
+    later ones are rebuilt from the new row in the next round.  A lane's
+    first window is the whole row; after a take it is two moves, and it
+    doubles after each round without a take, so a run of takes costs about
+    two evaluations per move rather than a rescan of the row after each.
+    Windows are cut to an equal share of ``_PAIRS_PER_CALL`` (lane, move)
+    pairs, but to no less than one move, so no call is wider than the larger
+    of that and the lane count; above ``_PAIRS_PER_CALL / 2`` lanes every
+    lane scores one move per call, all lanes in step.  Every lane keeps
+    exactly the moves it would keep alone.  Each lane has its own step,
+    stall counter and stop: the step starts at ``_INITIAL_STEP`` and halves
+    after every ``_DECAY_PATIENCE`` sweeps without improvement, and a lane
+    stops after three such windows.  The step never exceeds
+    ``_INITIAL_STEP`` and every row sums to 1, so a bumped row sums to at
+    least 0.75.  Deterministic: no randomness beyond the initial blocks.
     """
     best = np.asarray(objective(ids, *blocks), dtype=float)
     step = np.full(len(ids), _INITIAL_STEP)
     stalled = np.zeros(len(ids), dtype=int)
     live = np.ones(len(ids), dtype=bool)
-
-    def take_first_passes(k, row, lane, saved, trial):
-        # Scores trial row trial[j] of block k for lane lane[j] (nondecreasing)
-        # in one call, skipping trials equal to saved[j], moves each lane to
-        # its first trial that passes and marks it improved; returns the
-        # indices j taken.
-        scored = np.flatnonzero((trial != saved).any(axis=1))
-        if scored.size == 0:
-            return scored
-        who = lane[scored]
-        trial_blocks = [b[who] for b in blocks]
-        trial_blocks[k][:, row] = trial[scored]
-        value = np.asarray(objective(ids[who], *trial_blocks), dtype=float)
-        passed = np.flatnonzero(value > best[who] + 1e-15)
-        if passed.size == 0:
-            return passed
-        passed = passed[np.unique(who[passed], return_index=True)[1]]
-        blocks[k][who[passed], row] = trial[scored[passed]]
-        best[who[passed]] = value[passed]
-        improved[who[passed]] = True
-        return scored[passed]
 
     for _ in range(config.refinement_iterations):
         improved = np.zeros(len(ids), dtype=bool)
@@ -442,19 +423,11 @@ def _ascend(
             sign = np.tile([1.0, -1.0], block.shape[2])
             for row in range(block.shape[1]):
                 lanes = np.flatnonzero(live)
-                if 2 * len(lanes) > _PAIRS_PER_CALL:  # one move per call, all lanes in step
-                    for m in range(moves):
-                        saved = block[lanes, row]
-                        trial = saved.copy()
-                        bumped = trial[:, letter[m]] + sign[m] * step[lanes]
-                        trial[:, letter[m]] = np.where(bumped > 0.0, bumped, 0.0)
-                        trial /= trial.sum(axis=1, keepdims=True)
-                        take_first_passes(k, row, lanes, saved, trial)
-                    continue
                 first = np.zeros(len(lanes), dtype=int)  # each lane's first untried move
                 width = np.full(len(lanes), moves)  # moves each lane tries this round
                 while lanes.size:
-                    width = np.minimum(width, np.minimum(moves - first, _PAIRS_PER_CALL // len(lanes)))
+                    cap = max(1, _PAIRS_PER_CALL // len(lanes))
+                    width = np.minimum(width, np.minimum(moves - first, cap))
                     pair = np.repeat(np.arange(len(lanes)), width)  # (lane, move) pairs
                     move = np.arange(len(pair)) + np.repeat(first - np.cumsum(width) + width, width)
                     lane = lanes[pair]
@@ -464,11 +437,22 @@ def _ascend(
                     bumped = trial[cell] + sign[move] * step[lane]
                     trial[cell] = np.where(bumped > 0.0, bumped, 0.0)
                     trial /= trial.sum(axis=1, keepdims=True)
-                    take = take_first_passes(k, row, lane, saved, trial)
                     first += width
-                    first[pair[take]] = move[take] + 1  # later moves are rebuilt from the new row
                     width *= 2
-                    width[pair[take]] = 2
+                    scored = np.flatnonzero((trial != saved).any(axis=1))
+                    if scored.size:  # one call; each lane takes its first trial that passes
+                        who = lane[scored]
+                        trial_blocks = [b[who] for b in blocks]
+                        trial_blocks[k][:, row] = trial[scored]
+                        value = np.asarray(objective(ids[who], *trial_blocks), dtype=float)
+                        passed = np.flatnonzero(value > best[who] + 1e-15)
+                        passed = passed[np.unique(who[passed], return_index=True)[1]]
+                        take = scored[passed]
+                        block[lane[take], row] = trial[take]
+                        best[lane[take]] = value[passed]
+                        improved[lane[take]] = True
+                        first[pair[take]] = move[take] + 1  # later moves are rebuilt from the new row
+                        width[pair[take]] = 2
                     left = first < moves
                     lanes, first, width = lanes[left], first[left], width[left]
         stalled = np.where(improved, 0, stalled + 1)

@@ -66,8 +66,21 @@ class PowerControlResult:
 def saturation_threshold(g: GaussianMacWt) -> float:
     """Per-transmitter power (2*pi*e*sigma1_sq - 1)*sigma2_sq/2 at which the
     symmetric optimum stops growing when the eavesdropper's channel is the
-    noisier one."""
-    return _check_domain(g)
+    noisier one.  Raises ValidationError when ``g`` lies outside the domain
+    of the closed form."""
+    if g.sigma1_sq < MIN_SIGMA1_SQ:
+        raise ValidationError(
+            "sigma1_sq=%g is below 1/(2*pi*e)=%.12g, so the breakpoint "
+            "(2*pi*e*sigma1_sq - 1)*sigma2_sq of the piecewise sum rate is "
+            "negative and the closed form does not apply" % (g.sigma1_sq, MIN_SIGMA1_SQ)
+        )
+    threshold = 0.5 * (TWO_PI_E * g.sigma1_sq - 1.0) * g.sigma2_sq
+    if 0.0 < 2.0 * threshold < sys.float_info.min:
+        raise ValidationError(
+            "sigma1_sq=%g and sigma2_sq=%g make the breakpoint (2*pi*e*sigma1_sq - 1)*sigma2_sq "
+            "subnormal, where the two branches of the sum rate disagree" % (g.sigma1_sq, g.sigma2_sq)
+        )
+    return threshold
 
 
 def sum_rate(p1: float, p2: float, g: GaussianMacWt) -> float:
@@ -82,7 +95,7 @@ def sum_rate(p1: float, p2: float, g: GaussianMacWt) -> float:
     power, or a total that overflows once divided by a noise variance, is
     a ValidationError.
     """
-    _check_domain(g)
+    saturation_threshold(g)  # checks the domain
     GaussianMacWt(p1, p2, g.sigma1_sq, g.sigma2_sq)  # validates the pair and its total
     return float(_rate_of_total(np.asarray(p1 + p2, dtype=float), g))
 
@@ -111,31 +124,13 @@ def sweep(
     """Tabulate :func:`optimal_power` on a uniform grid of ``steps`` caps
     spanning [0, p_max].  The optimal sum rate column is nondecreasing in
     the cap."""
-    _check_domain(g)
+    saturation_threshold(g)  # checks the domain
     if steps < 2:
         raise ValidationError("sweep needs at least 2 steps, got %d" % steps)
     if not math.isfinite(p_max) or p_max < 0.0:
         raise ValidationError("maximum power must be finite and nonnegative, got %g" % p_max)
     caps = np.linspace(0.0, p_max, steps)
     return [(float(cap), optimal_power(float(cap), g)) for cap in caps]
-
-
-def _check_domain(g: GaussianMacWt) -> float:
-    """The saturation threshold of ``g``, once ``g`` is checked to lie in
-    the domain of the closed form."""
-    if g.sigma1_sq < MIN_SIGMA1_SQ:
-        raise ValidationError(
-            "sigma1_sq=%g is below 1/(2*pi*e)=%.12g, so the breakpoint "
-            "(2*pi*e*sigma1_sq - 1)*sigma2_sq of the piecewise sum rate is "
-            "negative and the closed form does not apply" % (g.sigma1_sq, MIN_SIGMA1_SQ)
-        )
-    threshold = 0.5 * (TWO_PI_E * g.sigma1_sq - 1.0) * g.sigma2_sq
-    if 0.0 < 2.0 * threshold < sys.float_info.min:
-        raise ValidationError(
-            "sigma1_sq=%g and sigma2_sq=%g make the breakpoint (2*pi*e*sigma1_sq - 1)*sigma2_sq "
-            "subnormal, where the two branches of the sum rate disagree" % (g.sigma1_sq, g.sigma2_sq)
-        )
-    return threshold
 
 
 def _rate_of_total(total: np.ndarray, g: GaussianMacWt) -> np.ndarray:

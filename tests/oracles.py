@@ -32,7 +32,7 @@ from macwtfb.channels import GaussianMacWt, InputFactorization
 from macwtfb.discrete import _DECAY_PATIENCE, _INITIAL_STEP, _STEP_DECAY, SearchConfig
 from macwtfb.fm import LinearSystem, Row, as_rational
 from macwtfb.info import ValidationError
-from macwtfb.power import _check_domain, _rate_of_total
+from macwtfb.power import _rate_of_total, saturation_threshold
 from macwtfb.regions import _hull_ccw, _recession_direction
 
 
@@ -46,7 +46,7 @@ def grid_oracle(
     order, which breaks ties toward smaller p1 and then smaller p2.  Used
     as an independent check of :func:`optimal_power`.
     """
-    _check_domain(g)
+    saturation_threshold(g)
     if resolution < 2:
         raise ValidationError("grid resolution must be at least 2, got %d" % resolution)
     if power_cap < 0.0:

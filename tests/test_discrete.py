@@ -332,8 +332,9 @@ def test_ascent_scores_a_row_in_one_call_when_no_lane_moves():
     _best_of_restarts([(2, 3)], [(9,)], constant, SearchConfig(restarts=2, refinement_iterations=4))
     assert calls == [2] + [2 * 6] * (4 * 2)
     # 36 lanes share the 72 pairs of a call, two moves each: three calls a
-    # row.  From 37 lanes on every call scores one move of every lane.
-    for restarts, row_calls in [(36, [36 * 2] * 3), (37, [37] * 6)]:
+    # row.  From 37 lanes on every call scores one move of every lane, also
+    # above 72 lanes, where an equal share of the pairs is less than one.
+    for restarts, row_calls in [(36, [36 * 2] * 3), (37, [37] * 6), (73, [73] * 6)]:
         calls.clear()
         config = SearchConfig(restarts=restarts, refinement_iterations=4)
         _best_of_restarts([(2, 3)], [(9,)], constant, config)
@@ -423,11 +424,13 @@ def _bumpy_objectives(rng, shapes):
     st.integers(0, 2**32 - 1),
 )
 @example([(2, 3)], 13, 110, 1)
+@example([(1, 3)], 25, 30, 1)
 def test_lockstep_search_equals_the_sequential_restarts(shapes, restarts, iterations, seed):
     # Every lane of the lockstep ascent ends bit for bit where its restart
     # ends when run alone, and each objective's winner is the sequential one.
-    # The example's 39 lanes score one move per call until enough of them
-    # stop, and a window of moves per call after that.
+    # The first example's 39 lanes score one move per call until enough of
+    # them stop, and a window of moves per call after that; the second
+    # example's 75 lanes start above 72, where each window is one move.
     objectives = _bumpy_objectives(np.random.default_rng(seed), shapes)
     config = SearchConfig(restarts=restarts, refinement_iterations=iterations, seed=seed)
     streams = [(5, s) for s in range(len(objectives))]
