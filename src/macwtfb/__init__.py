@@ -9,21 +9,30 @@ the hybrid region's rate-splitting construction.
 The package root exports the names the README presents; everything else
 is imported from its module, e.g. ``macwtfb.fm`` or ``macwtfb.channels``.
 Each export is imported from its module on first access, so importing the
-package loads no module, and numpy only comes in with a module that
-computes with it (``discrete``, ``power``).
+package loads no module.  ``ValidationError``, which every module raises,
+is defined here.
+
+A module either imports numpy at the top or never imports it.
+``channels``, ``info``, ``discrete`` and ``power`` compute with arrays and
+import it; ``regions``, ``gaussian``, ``fm`` and ``cli`` never do, so the
+Gaussian closed forms and the exact checks run without loading numpy.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
+
+class ValidationError(ValueError):
+    """Raised when an input fails a distribution or argument contract."""
+
+
 # export name -> the module that defines it
 _EXPORTS = {
-    "GaussianMacWt": "channels",
+    "GaussianMacWt": "gaussian",
     "MacWiretapKernel": "channels",
     "RateRegion": "regions",
     "SearchConfig": "discrete",
-    "ValidationError": "info",
     "WiretapKernel": "channels",
     "boundary_samples": "regions",
     "feedback_secrecy_capacity": "discrete",
@@ -38,7 +47,7 @@ _EXPORTS = {
     "wyner_capacity": "discrete",
 }
 
-__all__ = list(_EXPORTS)
+__all__ = ["ValidationError", *_EXPORTS]
 
 
 def __getattr__(name):

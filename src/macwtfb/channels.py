@@ -1,39 +1,26 @@
-"""Channel models and the bridge from channels to information quantities.
+"""Finite channel models and the bridge from channels to information quantities.
 
 A discrete two-user wiretap channel is a conditional law P(y, z | x1, x2); the
 legitimate receiver sees Y, the eavesdropper sees Z. Inputs factor through a
-common auxiliary as P(u) P(x1|u) P(x2|u). The Gaussian model is
-Y = X1 + X2 + N1, Z = X1 + X2 + N2 with average power constraints.
-
-numpy is imported by the functions that build or read arrays, not by the
-module, so the Gaussian model loads without it.
+common auxiliary as P(u) P(x1|u) P(x2|u). Channels are numpy arrays; the
+Gaussian model, which needs no arrays, lives in the gaussian module.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .info import (
-    JointDist,
-    ValidationError,
-    check_mass,
-    conditional_entropy,
-    mutual_information,
-)
+import numpy as np
 
-if TYPE_CHECKING:
-    import numpy as np
+from . import ValidationError
+from .info import JointDist, check_mass, conditional_entropy, mutual_information
 
 # per-input transition rows renormalize when off by at most this, reject beyond
 ROW_SUM_ATOL = 1e-9
 
 
 def _clean_transition(table, n_input_axes: int, what: str) -> np.ndarray:
-    import numpy as np
-
     arr = np.asarray(table, dtype=float)
     expected_ndim = n_input_axes + 2
     if arr.ndim != expected_ndim:
@@ -112,8 +99,6 @@ class InputFactorization:
     x2_given_u: np.ndarray   # shape (|U|, |X2|)
 
     def __post_init__(self):
-        import numpy as np
-
         u, x1, x2 = (
             np.asarray(t, dtype=float) for t in (self.u_dist, self.x1_given_u, self.x2_given_u)
         )
@@ -132,34 +117,6 @@ class InputFactorization:
 
 
 @dataclass(frozen=True)
-class GaussianMacWt:
-    """Gaussian model Y = X1 + X2 + N1, Z = X1 + X2 + N2.
-
-    p1, p2 are average power constraints (nonnegative); sigma1_sq and
-    sigma2_sq the main and eavesdropper noise variances (positive).
-    """
-
-    p1: float
-    p2: float
-    sigma1_sq: float
-    sigma2_sq: float
-
-    def __post_init__(self):
-        for name in ("p1", "p2"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ValidationError(f"{name} must be finite and nonnegative, got {v!r}")
-            object.__setattr__(self, name, v)
-        for name in ("sigma1_sq", "sigma2_sq"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValidationError(f"{name} must be finite and positive, got {v!r}")
-            object.__setattr__(self, name, v)
-        if not math.isfinite((self.p1 + self.p2) / min(self.sigma1_sq, self.sigma2_sq)):
-            raise ValidationError("(p1 + p2) / min(sigma1_sq, sigma2_sq) overflows to infinity")
-
-
-@dataclass(frozen=True)
 class InfoQuantities:
     """The six information quantities the bounds are built from, in bits.
 
@@ -175,28 +132,8 @@ class InfoQuantities:
     h_y_given_z: float
 
 
-def _df_sum(a, b, c, d, e, minimum=min):
-    """Decode-and-forward sum-rate cap min(c, a + b) - d.
-
-    ``minimum`` is ``min`` for floats and Fractions (exact on Fractions) and
-    ``np.minimum`` for arrays that hold one quantity per search lane."""
-    return minimum(c, a + b) - d
-
-
-def _hybrid_sum(a, b, c, d, e, minimum=min):
-    """Hybrid sum-rate cap min(c, a + b) - d + min(d, e): the DF cap plus the
-    key refund min(d, e), by which the feedback key rate e partly repays the
-    leakage debit d.
-
-    ``minimum`` is ``min`` for floats and Fractions (exact on Fractions) and
-    ``np.minimum`` for arrays that hold one quantity per search lane."""
-    return _df_sum(a, b, c, d, e, minimum) + minimum(d, e)
-
-
 def assemble_joint(kernel: MacWiretapKernel, inputs: InputFactorization) -> JointDist:
     """Joint law of (U, X1, X2, Y, Z) under P(u)P(x1|u)P(x2|u) P(y,z|x1,x2)."""
-    import numpy as np
-
     if inputs.x1_given_u.shape[1] != kernel.x1_size:
         raise ValidationError(
             f"x1 alphabet mismatch: inputs give {inputs.x1_given_u.shape[1]}, "
@@ -219,8 +156,6 @@ def assemble_joint(kernel: MacWiretapKernel, inputs: InputFactorization) -> Join
 
 def joint_from_input_law(kernel: MacWiretapKernel, joint_x: np.ndarray) -> JointDist:
     """Joint law of (X1, X2, Y, Z) under an arbitrary input law P(x1, x2)."""
-    import numpy as np
-
     q = np.asarray(joint_x, dtype=float)
     if q.shape != (kernel.x1_size, kernel.x2_size):
         raise ValidationError(
@@ -254,8 +189,6 @@ def parse_channel(obj) -> MacWiretapKernel:
     Expected keys: x1_size, x2_size, y_size, z_size, and
     transition[x1][x2][y][z] as nested lists.
     """
-    import numpy as np
-
     if not isinstance(obj, dict):
         raise ValidationError(f"channel document must be a JSON object, got {type(obj).__name__}")
     required = ("x1_size", "x2_size", "y_size", "z_size", "transition")

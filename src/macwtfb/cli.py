@@ -38,15 +38,19 @@ Exit codes: 0 success, 1 verification or input-data failure (an
 ``fm-verify`` mismatch, an unusable channel file), 2 internal invariant
 violation, 64 usage error.
 
-Only the commands that compute with numpy load it.  ``region gaussian``,
+Only the commands that compute with numpy load it.  At the top this module
+imports only the numpy-free ``gaussian`` and ``regions``; every module that
+computes with arrays imports numpy at its own top and is imported inside
+the handlers that need it.  ``region discrete`` imports ``channels`` and
+``discrete`` (the search works on arrays), and ``powersweep`` and
+``figure --which 4|5`` import ``power``.  ``region gaussian``,
 ``figure --which 2|3`` and ``fm-verify`` run on the closed forms and on
-exact integer arithmetic and never import it, which saves most of a short
-command's start-up.  ``region discrete`` imports ``discrete`` (the search
-works on arrays) and ``powersweep`` and ``figure --which 4|5`` import
-``power`` inside their handlers; ``fm-verify`` alone imports ``fm``,
-``fractions`` and ``random``.  ``power`` keeps ``np.log2`` and
-``np.linspace``: ``math.log2`` differs from ``np.log2`` in the last bit on
-a few inputs in a thousand, and the pinned sweep files hold numpy's bits.
+exact integer arithmetic and load neither numpy nor ``info`` and
+``channels``, which saves most of a short command's start-up.
+``fm-verify`` alone imports ``fm``, ``fractions`` and ``random``.
+``power`` keeps ``np.log2`` and ``np.linspace``: ``math.log2`` differs
+from ``np.log2`` in the last bit on a few inputs in a thousand, and the
+pinned sweep files hold numpy's bits.
 """
 
 from __future__ import annotations
@@ -61,14 +65,14 @@ import warnings
 from pathlib import Path
 from typing import Sequence
 
-from .channels import GaussianMacWt, load_channel
+from . import ValidationError
 from .gaussian import (
+    GaussianMacWt,
     gaussian_df_region,
     gaussian_hybrid_region,
     gaussian_outer_region,
     tekin_yener_region,
 )
-from .info import ValidationError
 from .regions import RateRegion, boundary_samples, is_subset, region_from_halfspaces, region_to_dict
 
 EXIT_OK = 0
@@ -371,6 +375,7 @@ def _cmd_region_gaussian(args) -> int:
 
 
 def _cmd_region_discrete(args) -> int:
+    from .channels import load_channel
     from .discrete import SearchConfig, search_inner, search_outer
 
     bounds = _parse_bounds(args.bounds, _DISCRETE_BOUNDS)

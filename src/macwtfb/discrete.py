@@ -22,7 +22,7 @@ end alone, and the winners are merged in restart order.
 Single-letter quantities for one input law come from the channels module;
 the search loop uses a private batched einsum evaluation of the same
 expressions that is pinned to the public one by the test suite.  The
-sum-rate formulas come from the channels module too, the one place they are
+sum-rate formulas come from the regions module, the one place they are
 written, and score all lanes of a batch at once on the quantity arrays.  The
 single-user rates are not separate formulas: they are the two-user sum caps
 of a kernel whose second transmitter has a one-letter alphabet and whose
@@ -39,18 +39,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import ValidationError
 from .channels import (
     InfoQuantities,
     InputFactorization,
     MacWiretapKernel,
     WiretapKernel,
-    _df_sum,
-    _hybrid_sum,
     info_quantities,
     joint_from_input_law,
 )
-from .info import JointDist, ValidationError, conditional_entropy
-from .regions import RateRegion, capped_region, hull_of_regions, is_subset
+from .info import JointDist, conditional_entropy
+from .regions import RateRegion, _df_sum, _hybrid_sum, capped_region, hull_of_regions, is_subset
 
 __all__ = [
     "InnerSearchResult",

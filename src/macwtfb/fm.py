@@ -8,7 +8,7 @@ auxiliary constraint system verbatim, projects it onto the message-rate
 plane by Fourier-Motzkin elimination in exact rational arithmetic, and
 compares the projected polygon vertex by vertex with the closed form.  The
 closed form's sum cap is the same function the discrete search uses
-(``channels._hybrid_sum``), so the check certifies the formula the package
+(``regions._hybrid_sum``), so the check certifies the formula the package
 writes, not a copy of it.
 
 Every coefficient is an integer and no floating-point comparison occurs
@@ -35,9 +35,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .channels import _hybrid_sum
-from .info import ValidationError
-from .regions import _hull_ccw, _recession_direction
+from . import ValidationError
+from .regions import _hull_ccw, _hybrid_sum, _recession_direction
 
 __all__ = [
     "LinearSystem",

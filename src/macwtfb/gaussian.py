@@ -1,7 +1,8 @@
-"""Closed-form secrecy rate bounds for the Gaussian model.
+"""The Gaussian model and its closed-form secrecy rate bounds.
 
 Y = X1 + X2 + N1, Z = X1 + X2 + N2, with noise variances sigma1_sq (main)
-and sigma2_sq (eavesdropper) and average powers p1, p2. All rates in bits.
+and sigma2_sq (eavesdropper) and average powers p1, p2 (``GaussianMacWt``).
+All rates in bits.
 
 The decode-and-forward inner region caps each rate by its single-user main
 channel capacity and the sum by the main-minus-eavesdropper sum capacity
@@ -19,10 +20,48 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
 
-from .channels import GaussianMacWt
-from .info import ValidationError, gaussian_diff_entropy
+from . import ValidationError
 from .regions import RateRegion, capped_region, region_from_halfspaces
+
+TWO_PI_E = 2.0 * math.pi * math.e
+
+
+@dataclass(frozen=True)
+class GaussianMacWt:
+    """Gaussian model Y = X1 + X2 + N1, Z = X1 + X2 + N2.
+
+    p1, p2 are average power constraints (nonnegative); sigma1_sq and
+    sigma2_sq the main and eavesdropper noise variances (positive).
+    """
+
+    p1: float
+    p2: float
+    sigma1_sq: float
+    sigma2_sq: float
+
+    def __post_init__(self):
+        for name in ("p1", "p2"):
+            v = float(getattr(self, name))
+            if not math.isfinite(v) or v < 0.0:
+                raise ValidationError(f"{name} must be finite and nonnegative, got {v!r}")
+            object.__setattr__(self, name, v)
+        for name in ("sigma1_sq", "sigma2_sq"):
+            v = float(getattr(self, name))
+            if not math.isfinite(v) or v <= 0.0:
+                raise ValidationError(f"{name} must be finite and positive, got {v!r}")
+            object.__setattr__(self, name, v)
+        if not math.isfinite((self.p1 + self.p2) / min(self.sigma1_sq, self.sigma2_sq)):
+            raise ValidationError("(p1 + p2) / min(sigma1_sq, sigma2_sq) overflows to infinity")
+
+
+def gaussian_diff_entropy(variance: float) -> float:
+    """Differential entropy of a scalar Gaussian, 1/2 log2(2 pi e variance), bits."""
+    v = float(variance)
+    if not math.isfinite(v) or v <= 0.0:
+        raise ValidationError(f"variance must be positive and finite, got {variance!r}")
+    return 0.5 * math.log2(TWO_PI_E * v)
 
 
 def _cap(snr: float) -> float:

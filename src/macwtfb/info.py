@@ -5,30 +5,23 @@ and treat 0 * log 0 = 0. Tiny negative results caused by float cancellation
 (within NEG_CLAMP) are clamped to zero; anything more negative signals a bug
 in the caller and raises ConsistencyError.
 
-numpy is imported by the functions that use it, not by the module: the
-Gaussian closed forms and the exact checks need only ValidationError and
-gaussian_diff_entropy from here, and run without loading numpy.
+This module computes with numpy; the Gaussian closed forms and the exact
+checks import nothing from it, so they run without numpy.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
+
+from . import ValidationError
 
 # mass functions must sum to 1 within this
 PROB_ATOL = 1e-12
 # float cancellation allowance on quantities that are nonnegative in exact math
 NEG_CLAMP = 1e-10
-
-TWO_PI_E = 2.0 * math.pi * math.e
-
-
-class ValidationError(ValueError):
-    """Raised when an input fails a distribution or argument contract."""
 
 
 class ConsistencyError(RuntimeError):
@@ -42,8 +35,6 @@ def check_mass(values, what: str = "mass", sum_axes=None, atol: float = PROB_ATO
     negatives are clipped to 0. Every sum over ``sum_axes`` (all axes when
     None) must be 1 within ``atol``. Errors name the offending index.
     """
-    import numpy as np
-
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValidationError(f"{what} is empty: shape {arr.shape}")
@@ -65,8 +56,6 @@ def check_mass(values, what: str = "mass", sum_axes=None, atol: float = PROB_ATO
 
 
 def _argmax_index(values: np.ndarray) -> tuple[int, ...]:
-    import numpy as np
-
     return tuple(int(i) for i in np.unravel_index(int(values.argmax()), values.shape))
 
 
@@ -89,8 +78,6 @@ class JointDist:
 
     def marginal(self, axes: Sequence[int]) -> np.ndarray:
         """Marginal mass over the given axes, in the order given."""
-        import numpy as np
-
         axes = _check_axes(self, axes, "axes")
         drop = tuple(i for i in range(self.mass.ndim) if i not in axes)
         m = self.mass.sum(axis=drop) if drop else self.mass
@@ -111,8 +98,6 @@ def _check_axes(joint: JointDist, axes: Sequence[int], name: str) -> tuple[int, 
 
 
 def _entropy_of(mass: np.ndarray) -> float:
-    import numpy as np
-
     flat = np.asarray(mass, dtype=float).ravel()
     nz = flat[flat > 0.0]
     if nz.size == 0:
@@ -171,10 +156,3 @@ def mutual_information(joint: JointDist, left_axes: Sequence[int],
     h_g = _entropy_of(joint.marginal(given)) if given else 0.0
     return _clamp_nonneg(h_lg + h_rg - h_lrg - h_g, "mutual information")
 
-
-def gaussian_diff_entropy(variance: float) -> float:
-    """Differential entropy of a scalar Gaussian, 1/2 log2(2 pi e variance), bits."""
-    v = float(variance)
-    if not math.isfinite(v) or v <= 0.0:
-        raise ValidationError(f"variance must be positive and finite, got {variance!r}")
-    return 0.5 * math.log2(TWO_PI_E * v)

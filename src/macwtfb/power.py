@@ -23,8 +23,8 @@ import sys
 
 import numpy as np
 
-from .channels import GaussianMacWt
-from .info import TWO_PI_E, ValidationError, gaussian_diff_entropy
+from . import ValidationError
+from .gaussian import TWO_PI_E, GaussianMacWt, gaussian_diff_entropy
 
 __all__ = [
     "ABOVE_THRESHOLD",

@@ -9,6 +9,9 @@ canonicalizes to the degenerate region {(0, 0)}.
 
 Every inner region of the package has one shape, built by
 ``capped_region``: an individual cap on each rate plus a cap on their sum.
+The finite-channel sum caps are written once, here, as ``_df_sum`` and
+``_hybrid_sum`` of the information quantities: the discrete search scores
+them on arrays and ``fm`` certifies them on Fractions.
 
 All comparisons use the absolute tolerance TOL = 1e-9.
 
@@ -27,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .info import ValidationError
+from . import ValidationError
 
 TOL = 1e-9
 # Line pairs whose determinant is this close to zero count as parallel.
@@ -248,6 +251,24 @@ def region_from_halfspaces(halfspaces: Iterable) -> RateRegion:
 def capped_region(r1_cap: float, r2_cap: float, sum_cap: float) -> RateRegion:
     """The region R1 <= r1_cap, R2 <= r2_cap, R1 + R2 <= sum_cap."""
     return region_from_halfspaces([(1.0, 0.0, r1_cap), (0.0, 1.0, r2_cap), (1.0, 1.0, sum_cap)])
+
+
+def _df_sum(a, b, c, d, e, minimum=min):
+    """Decode-and-forward sum-rate cap min(c, a + b) - d.
+
+    ``minimum`` is ``min`` for floats and Fractions (exact on Fractions) and
+    ``np.minimum`` for arrays that hold one quantity per search lane."""
+    return minimum(c, a + b) - d
+
+
+def _hybrid_sum(a, b, c, d, e, minimum=min):
+    """Hybrid sum-rate cap min(c, a + b) - d + min(d, e): the DF cap plus the
+    key refund min(d, e), by which the feedback key rate e partly repays the
+    leakage debit d.
+
+    ``minimum`` is ``min`` for floats and Fractions (exact on Fractions) and
+    ``np.minimum`` for arrays that hold one quantity per search lane."""
+    return _df_sum(a, b, c, d, e, minimum) + minimum(d, e)
 
 
 def contains(region: RateRegion, point) -> bool:

@@ -28,10 +28,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from macwtfb.channels import GaussianMacWt, InputFactorization
+from macwtfb import ValidationError
+from macwtfb.channels import InputFactorization
 from macwtfb.discrete import _DECAY_PATIENCE, _INITIAL_STEP, _STEP_DECAY, SearchConfig
 from macwtfb.fm import LinearSystem, Row, as_rational
-from macwtfb.info import ValidationError
+from macwtfb.gaussian import GaussianMacWt
 from macwtfb.power import _rate_of_total, saturation_threshold
 from macwtfb.regions import _hull_ccw, _recession_direction
 

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from macwtfb.channels import (
-    GaussianMacWt,
     InputFactorization,
     MacWiretapKernel,
     WiretapKernel,
@@ -37,6 +36,8 @@ from macwtfb.discrete import (
 )
 from macwtfb.fm import verify_hybrid_region_projection
 from macwtfb.gaussian import (
+    TWO_PI_E,
+    GaussianMacWt,
     df_sum_bound,
     gaussian_df_region,
     gaussian_hybrid_region,
@@ -44,7 +45,6 @@ from macwtfb.gaussian import (
     hybrid_sum_bound,
     tekin_yener_region,
 )
-from macwtfb.info import TWO_PI_E
 from macwtfb.power import optimal_power, saturation_threshold
 from macwtfb.regions import is_subset
 

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from macwtfb import ValidationError
 from macwtfb.channels import (
-    GaussianMacWt,
     InputFactorization,
     MacWiretapKernel,
     WiretapKernel,
@@ -17,7 +17,7 @@ from macwtfb.channels import (
     load_channel,
     parse_channel,
 )
-from macwtfb.info import ValidationError
+from macwtfb.gaussian import GaussianMacWt
 
 from oracles import uniform_factorization
 

@@ -11,8 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from macwtfb import cli, discrete, fm, power
-from macwtfb.channels import GaussianMacWt
+from macwtfb import ValidationError, cli, discrete, fm, power
 from macwtfb.cli import (
     EXIT_FAILURE,
     EXIT_INVARIANT,
@@ -22,8 +21,7 @@ from macwtfb.cli import (
     _fmt,
     main,
 )
-from macwtfb.gaussian import gaussian_hybrid_region, gaussian_outer_region
-from macwtfb.info import ValidationError
+from macwtfb.gaussian import GaussianMacWt, gaussian_hybrid_region, gaussian_outer_region
 from macwtfb.regions import boundary_samples, region_from_halfspaces
 
 FIG2_FLAGS = ["--p1", "1", "--p2", "1", "--sigma1sq", "1", "--sigma2sq", "10"]

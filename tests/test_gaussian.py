@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macwtfb.channels import GaussianMacWt
+from macwtfb import ValidationError
 from macwtfb.gaussian import (
+    GaussianMacWt,
     df_sum_bound,
     gaussian_df_region,
     gaussian_hybrid_region,
@@ -16,7 +17,6 @@ from macwtfb.gaussian import (
     hybrid_sum_bound,
     tekin_yener_region,
 )
-from macwtfb.info import ValidationError
 from macwtfb.regions import is_subset
 
 # Frozen reference values, computed independently at 30-digit precision.

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macwtfb.gaussian import gaussian_diff_entropy
 from macwtfb.info import (
     ConsistencyError,
     JointDist,
     ValidationError,
     conditional_entropy,
     entropy,
-    gaussian_diff_entropy,
     mutual_information,
 )
 

@@ -31,13 +31,15 @@ def test_readme_imports_are_exported_from_the_package_root():
 
 
 # Runs in a fresh interpreter, so that no test has loaded numpy before it;
-# prints one JSON record per step:
-# [step or command, exit code, numpy loaded, macwtfb.fm loaded].
+# prints one JSON record per step: [step or command, exit code, numpy loaded,
+# macwtfb.fm loaded, macwtfb.info loaded, macwtfb.channels loaded].
 _IMPORT_RULE_SCRIPT = """
 import json, sys
 
+WATCHED = ("numpy", "macwtfb.fm", "macwtfb.info", "macwtfb.channels")
+
 def record(step, code=0):
-    print(json.dumps([step, code, "numpy" in sys.modules, "macwtfb.fm" in sys.modules]))
+    print(json.dumps([step, code, *(name in sys.modules for name in WATCHED)]))
 
 out, channel = sys.argv[1], sys.argv[2]
 import macwtfb.cli as cli
@@ -72,11 +74,11 @@ def test_closed_form_commands_never_import_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     records = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
     assert records == [
-        ["import macwtfb.cli", 0, False, False],
-        ["region", 0, False, False],
-        ["figure", 0, False, False],
-        ["fm-verify", 0, False, True],
-        ["region", 0, True, True],
-        ["powersweep", 0, True, True],
-        ["from macwtfb import search_inner, optimal_power", 0, True, True],
+        ["import macwtfb.cli", 0, False, False, False, False],
+        ["region", 0, False, False, False, False],
+        ["figure", 0, False, False, False, False],
+        ["fm-verify", 0, False, True, False, False],
+        ["region", 0, True, True, True, True],
+        ["powersweep", 0, True, True, True, True],
+        ["from macwtfb import search_inner, optimal_power", 0, True, True, True, True],
     ], proc.stderr

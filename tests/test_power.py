@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macwtfb.channels import GaussianMacWt
-from macwtfb.info import TWO_PI_E, ValidationError
+from macwtfb import ValidationError
+from macwtfb.gaussian import TWO_PI_E, GaussianMacWt
 from macwtfb.power import (
     ABOVE_THRESHOLD,
     BELOW_THRESHOLD,

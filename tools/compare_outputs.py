@@ -25,38 +25,28 @@ and ``<tree>`` in the printed text.  Exits 1 when any command differs and
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
-import traceback
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import checks  # noqa: E402
+import run  # noqa: E402
 import workloads  # noqa: E402
 
 
 def run_jobs(jobs_path: str, results_path: str) -> None:
-    """Child side: every argv of the job file through ``cli.main``, as
-    ``bench/run.py --trace 1`` runs it, with exit code and printed text."""
+    """Child side: every argv of the job file through ``cli.main`` by
+    ``bench/run.py``'s in-process runner, with exit code and printed text."""
     from macwtfb import cli
 
     results = []
     for argv in json.loads(Path(jobs_path).read_text(encoding="utf-8")):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code if isinstance(exc.code, int) else 1
-            except Exception:
-                traceback.print_exc()
-                code = 1
-        results.append({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
+        outcome = run.run_inprocess(cli, argv)
+        results.append({"exit": outcome.exit_code, "stdout": outcome.stdout, "stderr": outcome.stderr})
     Path(results_path).write_text(json.dumps(results), encoding="utf-8")
 
 
