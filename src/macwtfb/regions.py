@@ -15,6 +15,11 @@ them on arrays and ``fm`` certifies them on Fractions.
 
 All comparisons use the absolute tolerance TOL = 1e-9.
 
+No output value goes through the builtin ``sum`` of floats, which is
+compensated from Python 3.12 on: ``boundary_samples`` takes its chain
+length from one running sum, so the numpy-free commands write the same
+bytes on Python 3.10-3.13.
+
 Two polygon steps are shared with the exact vertex enumeration of
 ``fm.exact_vertices``: the recession-direction test
 (``_recession_direction``), which reads only the coefficients, and the
@@ -26,6 +31,8 @@ pairwise intersections (``_feasible_intersections``) are float-only.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -276,6 +283,9 @@ def contains(region: RateRegion, point) -> bool:
     x, y = float(point[0]), float(point[1])
     if x < -TOL or y < -TOL:
         return False
+    # Not implied by the halfspace test below: the degenerate region of
+    # region_from_halfspaces([(1, 1, 0)]) keeps only the row (1, 1, 0), which
+    # admits (2e-9, -1e-9) within TOL; the region is the single point (0, 0).
     if region.is_degenerate:
         return abs(x) <= TOL and abs(y) <= TOL
     return all(h.value_at((x, y)) <= h.bound + TOL for h in region.halfspaces)
@@ -308,33 +318,20 @@ def boundary_samples(region: RateRegion, count: int) -> list[tuple[float, float]
     if count < 1:
         raise ValidationError(f"count must be at least 1, got {count}")
     path = _pareto_path(region)
-    if count == 1 or len(path) == 1:
-        return [path[0]] * count
-
-    seg_len = [
-        math.hypot(path[i + 1][0] - path[i][0], path[i + 1][1] - path[i][1])
-        for i in range(len(path) - 1)
-    ]
-    total = sum(seg_len)
-    if total <= 0.0:
+    seg_len = [math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(path, path[1:])]
+    cum = list(itertools.accumulate(seg_len, initial=0.0))
+    if count == 1 or cum[-1] <= 0.0:
         return [path[0]] * count
 
     samples = []
-    cum = [0.0]
-    for s in seg_len:
-        cum.append(cum[-1] + s)
-    for k in range(count):
-        if k == count - 1:
-            samples.append(path[-1])
-            break
-        target = total * k / (count - 1)
-        i = 0
-        while i < len(seg_len) - 1 and cum[i + 1] < target:
-            i += 1
+    for k in range(count - 1):
+        target = cum[-1] * k / (count - 1)
+        i = bisect.bisect_left(cum, target, 1, len(seg_len)) - 1  # capped at the last segment
         t = (target - cum[i]) / seg_len[i] if seg_len[i] > 0 else 0.0
         x = path[i][0] + t * (path[i + 1][0] - path[i][0])
         y = path[i][1] + t * (path[i + 1][1] - path[i][1])
         samples.append((x, y))
+    samples.append(path[-1])
     return samples
 
 
@@ -352,17 +349,13 @@ def hull_of_regions(regions: Sequence[RateRegion]) -> RateRegion:
         return _degenerate()
     hull = _hull_ccw(_dedupe(points))
     halfspaces = []
-    n = len(hull)
-    for i in range(n):
-        px, py = hull[i]
-        qx, qy = hull[(i + 1) % n]
-        if n == 2 and i == 1:
-            break  # a segment has a single generating edge
+    # A segment has a single generating edge; a polygon closes back to hull[0].
+    for (px, py), (qx, qy) in zip(hull, hull[1:] + hull[:1] if len(hull) > 2 else hull[1:]):
         nx, ny = qy - py, px - qx  # outward normal of a counterclockwise edge
         if max(nx, ny) <= 1e-12:
             continue  # quadrant-facing edge, implied by nonnegativity
-        scale = max(abs(nx), abs(ny))
-        halfspaces.append(Halfspace(nx / scale, ny / scale, (nx * px + ny * py) / scale))
+        # region_from_halfspaces scales each row to max(|c1|, |c2|) = 1.
+        halfspaces.append(Halfspace(nx, ny, nx * px + ny * py))
     # Axis caps: redundant for a two-dimensional hull, but they close the
     # region when the hull collapses to a segment on either axis (whose only
     # counterclockwise edge bounds just one coordinate).

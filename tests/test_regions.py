@@ -1,11 +1,15 @@
 """Rate-region geometry: vertex enumeration, canonicalization, containment,
 boundary sampling, and hulls."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from macwtfb import regions
+from macwtfb.gaussian import GaussianMacWt, gaussian_hybrid_region
 from macwtfb.info import ValidationError
 from macwtfb.regions import (
     TOL,
@@ -172,10 +176,23 @@ def test_boundary_samples_triangle_and_degenerate():
     assert pts[0] == (0.0, 1.0) and pts[-1] == (1.0, 0.0)
     for x, y in pts:
         assert x + y == pytest.approx(1.0, abs=1e-12)
+    assert boundary_samples(tri, 1) == [(0.0, 1.0)]
+    assert boundary_samples(tri, 2) == [(0.0, 1.0), (1.0, 0.0)]
     degenerate = region_from_halfspaces([(1, 1, -1)])
     assert boundary_samples(degenerate, 4) == [(0.0, 0.0)] * 4
     with pytest.raises(ValidationError):
         boundary_samples(tri, 0)
+
+
+def test_boundary_samples_do_not_depend_on_the_builtin_sum(monkeypatch):
+    # From Python 3.12 the builtin sum of floats is compensated, like fsum.
+    # On this region a chain length taken from fsum would move 71 of the 101
+    # samples, if the samples read the builtin sum.
+    g = GaussianMacWt(0.9788760256797676, 0.21035266803020208, 0.22548300746592062, 2.225666818062565)
+    region = gaussian_hybrid_region(g)
+    plain = boundary_samples(region, 101)
+    monkeypatch.setattr(regions, "sum", math.fsum, raising=False)
+    assert boundary_samples(region, 101) == plain
 
 
 # --- hulls of unions ---------------------------------------------------------------
