@@ -17,8 +17,12 @@ boundary with denominators capped at 2**32, an error far below every
 tolerance used elsewhere in the package.  Elimination and vertex
 enumeration run on integers end to end: each row is an integer vector
 ``(coeffs, beta)`` over one system denominator ``D``, meaning
-``coeffs . x <= beta / D``.  ``fractions.Fraction`` appears only at the
-edges: the inputs, the public ``LinearSystem.rows`` view and the vertices.
+``coeffs . x <= beta / D``.  The check itself puts the five constants over
+one ``D``, builds both systems as integer rows and keeps them integer
+through the projection and the vertex enumeration; ``Fraction`` appears
+only in the vertices it returns.  The public functions run the same integer
+steps and convert at their edges: the inputs, the ``LinearSystem.rows``
+view and the vertices.
 
 The rows are kept in one normal form: rows with the same direction (the
 primitive coefficient vector) are merged keeping the tightest bound, found
@@ -62,14 +66,15 @@ IntRow = tuple[tuple[int, ...], int]
 
 
 def as_rational(value) -> Fraction:
-    """Convert an int, Fraction or float to an exact rational.
+    """Convert an int, Fraction or float to an exact rational; a bool is
+    not a number here, although Python counts it as an int.
 
     Floats are rounded to the nearest fraction with denominator at most
     2**32, so downstream arithmetic is exact and reproducible.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
         if not math.isfinite(value):
@@ -86,10 +91,10 @@ class LinearSystem:
 
     Construct with inequalities given as ``(coefficients, relation, bound)``
     triples where ``relation`` is ``"<="`` or ``">="``, every coefficient is
-    an ``int`` and the bound is an int, float or ``Fraction``; everything is
-    stored as normalized ``<=`` rows.  The row list is kept sorted, so two
-    systems with the same feasible description compare equal.  Instances
-    are immutable and hashable.
+    an ``int`` (not a ``bool``) and the bound is an int, float or
+    ``Fraction``; everything is stored as normalized ``<=`` rows.  The row
+    list is kept sorted, so two systems with the same feasible description
+    compare equal.  Instances are immutable and hashable.
     """
 
     variable_names: tuple[str, ...]
@@ -113,7 +118,7 @@ class LinearSystem:
                     "coefficient vector has length %d, expected %d"
                     % (len(vec), len(names))
                 )
-            if not all(isinstance(c, int) for c in vec):
+            if not all(isinstance(c, int) and not isinstance(c, bool) for c in vec):
                 raise ValidationError("row %d has a non-integer coefficient: %r" % (index, vec))
             b = as_rational(bound)
             if relation == ">=":
@@ -171,20 +176,33 @@ def project_to(system: LinearSystem, keep_variables: Iterable[str]) -> LinearSys
     missing = keep.difference(system.variable_names)
     if missing:
         raise ValidationError("unknown variables in keep set: %s" % sorted(missing))
-    names = system.variable_names
     denominator, rows = _integer_rows(system.rows)
-
-    def pair_count(at: int) -> int:
-        return sum(c[at] > 0 for c, _ in rows) * sum(c[at] < 0 for c, _ in rows)
-
-    while drops := [at for at, name in enumerate(names) if name not in keep]:
-        at = min(drops, key=pair_count)
-        rows = _eliminate_rows(rows, at)
-        names = names[:at] + names[at + 1 :]
+    names, rows = _project_rows(system.variable_names, rows, keep)
     return LinearSystem._from_rows(names, _public_rows(denominator, rows))
 
 
 RATE_SPLIT_VARIABLES = ("R1", "R2", "R10", "R11", "R1s", "R20", "R21", "R2s")
+
+# The rate-splitting system as ``<=`` rows: integer coefficients over
+# RATE_SPLIT_VARIABLES, and the integer weights of (a, b, c, d, e) whose
+# sum is the bound.  An equality is two rows; a ``>=`` row is negated.
+_RATE_SPLIT_ROWS = (
+    ((0, 0, 1, 1, 1, 0, 0, 0), (1, 0, 0, 0, 0)),  # R10 + R11 + R1s <= a
+    ((0, 0, 0, 0, 0, 1, 1, 1), (0, 1, 0, 0, 0)),  # R20 + R21 + R2s <= b
+    ((0, 0, 1, 1, 1, 1, 1, 1), (0, 0, 1, 0, 0)),  # all six split rates <= c
+    ((0, 0, 0, 1, 1, 0, 1, 1), (0, 0, 0, 1, 0)),  # R11 + R1s + R21 + R2s <= d
+    ((0, 0, 0, 0, -1, 0, 0, -1), (0, 0, 0, -1, 1)),  # R1s + R2s >= d - e
+    ((1, 0, -1, -1, 0, 0, 0, 0), (0, 0, 0, 0, 0)),  # R1 = R10 + R11
+    ((-1, 0, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0)),
+    ((0, 1, 0, 0, 0, -1, -1, 0), (0, 0, 0, 0, 0)),  # R2 = R20 + R21
+    ((0, -1, 0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 0)),
+    ((0, 0, -1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0)),  # every split rate >= 0
+    ((0, 0, 0, -1, 0, 0, 0, 0), (0, 0, 0, 0, 0)),
+    ((0, 0, 0, 0, -1, 0, 0, 0), (0, 0, 0, 0, 0)),
+    ((0, 0, 0, 0, 0, -1, 0, 0), (0, 0, 0, 0, 0)),
+    ((0, 0, 0, 0, 0, 0, -1, 0), (0, 0, 0, 0, 0)),
+    ((0, 0, 0, 0, 0, 0, 0, -1), (0, 0, 0, 0, 0)),
+)
 
 
 def rate_splitting_system(a, b, c, d, e) -> LinearSystem:
@@ -198,44 +216,18 @@ def rate_splitting_system(a, b, c, d, e) -> LinearSystem:
     parts must cover the leakage left uncovered by the feedback key, whose
     rate is at most e.
     """
-    a, b, c, d, e = _information_constants(a, b, c, d, e)
-
-    def vec(**weights) -> list[int]:
-        return [weights.get(name, 0) for name in RATE_SPLIT_VARIABLES]
-
-    inequalities = [
-        (vec(R10=1, R11=1, R1s=1), "<=", a),
-        (vec(R20=1, R21=1, R2s=1), "<=", b),
-        (vec(R10=1, R11=1, R1s=1, R20=1, R21=1, R2s=1), "<=", c),
-        (vec(R11=1, R21=1, R1s=1, R2s=1), "<=", d),
-        (vec(R1s=1, R2s=1), ">=", d - e),
-        (vec(R1=1, R10=-1, R11=-1), "<=", 0),
-        (vec(R1=1, R10=-1, R11=-1), ">=", 0),
-        (vec(R2=1, R20=-1, R21=-1), "<=", 0),
-        (vec(R2=1, R20=-1, R21=-1), ">=", 0),
-    ]
-    for split in ("R10", "R11", "R1s", "R20", "R21", "R2s"):
-        inequalities.append((vec(**{split: 1}), ">=", 0))
-    return LinearSystem(RATE_SPLIT_VARIABLES, inequalities)
+    denominator, consts = _information_constants(a, b, c, d, e)
+    return LinearSystem._from_rows(RATE_SPLIT_VARIABLES, _public_rows(denominator, _rate_split_rows(consts)))
 
 
 def hybrid_closed_form_system(a, b, c, d, e) -> LinearSystem:
     """The closed-form hybrid region as a two-variable system:
     R1 <= a, R2 <= b, R1 + R2 <= min(c, a + b) - d + min(d, e), both
     rates nonnegative.  The sum cap is the package's own hybrid formula,
-    the one the discrete search writes, evaluated on rationals."""
-    a, b, c, d, e = _information_constants(a, b, c, d, e)
-    sum_bound = _hybrid_sum(a, b, c, d, e)
-    return LinearSystem(
-        ("R1", "R2"),
-        [
-            ((1, 0), "<=", a),
-            ((0, 1), "<=", b),
-            ((1, 1), "<=", sum_bound),
-            ((1, 0), ">=", 0),
-            ((0, 1), ">=", 0),
-        ],
-    )
+    the one the discrete search writes, evaluated exactly on the constants
+    over their common denominator."""
+    denominator, consts = _information_constants(a, b, c, d, e)
+    return LinearSystem._from_rows(("R1", "R2"), _public_rows(denominator, _closed_form_rows(*consts)))
 
 
 def exact_vertices(system: LinearSystem) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -261,27 +253,7 @@ def exact_vertices(system: LinearSystem) -> tuple[tuple[Fraction, Fraction], ...
             "vertex enumeration needs exactly two variables, got %d"
             % len(system.variable_names)
         )
-    if system.is_infeasible:
-        return ()
-    denominator, rows = _integer_rows(system.rows)
-    lines = [(c1, c2, beta) for (c1, c2), beta in rows]
-    direction = _recession_direction(lines, det_tol=0)
-    if direction is not None:
-        if _eliminate_rows(_eliminate_rows(rows, 0), 0):
-            return ()
-        raise ValidationError("system is unbounded along direction %r" % (direction,))
-    points = set()
-    for i, (a1, a2, b1) in enumerate(lines):
-        for c1, c2, b2 in lines[i + 1 :]:
-            m = a1 * c2 - a2 * c1
-            if m:
-                x, y = b1 * c2 - b2 * a2, a1 * b2 - b1 * c1
-                g = math.gcd(x, y, m) if m > 0 else -math.gcd(x, y, m)
-                points.add((x // g, y // g, m // g))
-    points = [(x, y, m) for x, y, m in points if all(r1 * x + r2 * y <= r * m for r1, r2, r in lines)]
-    scale = math.lcm(*(m for _, _, m in points))
-    hull = _hull_ccw([(x * scale // m, y * scale // m) for x, y, m in points], 0)
-    return tuple((Fraction(x, scale * denominator), Fraction(y, scale * denominator)) for x, y in hull)
+    return _vertices(*_integer_rows(system.rows))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -303,12 +275,14 @@ def verify_hybrid_region_projection(a, b, c, d, e) -> ProjectionCheck:
     compare with the closed form, exactly.
 
     Any float input is rationalized first, so the comparison is a strict
-    polygon equality, not a tolerance check.
+    polygon equality, not a tolerance check.  Both systems are built on
+    integer rows over the constants' common denominator and stay integer
+    rows through the elimination and the vertex enumeration.
     """
-    projected = project_to(rate_splitting_system(a, b, c, d, e), ("R1", "R2"))
-    closed = hybrid_closed_form_system(a, b, c, d, e)
-    projected_vertices = exact_vertices(projected)
-    closed_vertices = exact_vertices(closed)
+    denominator, consts = _information_constants(a, b, c, d, e)
+    _, projected = _project_rows(RATE_SPLIT_VARIABLES, _rate_split_rows(consts), {"R1", "R2"})
+    projected_vertices = _vertices(denominator, projected)
+    closed_vertices = _vertices(denominator, _closed_form_rows(*consts))
     return ProjectionCheck(
         match=projected_vertices == closed_vertices,
         projected_vertices=projected_vertices,
@@ -319,17 +293,78 @@ def verify_hybrid_region_projection(a, b, c, d, e) -> ProjectionCheck:
 # --- internals ----------------------------------------------------------------
 
 
-def _information_constants(*values) -> list[Fraction]:
+def _information_constants(*values) -> tuple[int, list[int]]:
+    """The constants rationalized and checked nonnegative, as integers over
+    their common denominator."""
     consts = [as_rational(v) for v in values]
     if any(v < 0 for v in consts):
         raise ValidationError("information quantities must be nonnegative")
-    return consts
+    return _over_common_denominator(consts)
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """Fractions as integer numerators over their least common denominator."""
+    denominator = math.lcm(*(v.denominator for v in values))
+    return denominator, [v.numerator * (denominator // v.denominator) for v in values]
 
 
 def _integer_rows(rows: Sequence[Row]) -> tuple[int, list[IntRow]]:
     """Rows with ``Fraction`` bounds as integer rows over their common denominator."""
-    denominator = math.lcm(*(bound.denominator for _, bound in rows))
-    return denominator, [(c, b.numerator * (denominator // b.denominator)) for c, b in rows]
+    denominator, betas = _over_common_denominator([bound for _, bound in rows])
+    return denominator, [(coeffs, beta) for (coeffs, _), beta in zip(rows, betas)]
+
+
+def _rate_split_rows(consts: Sequence[int]) -> list[IntRow]:
+    """The normalized rate-splitting rows for the constants over one denominator."""
+    return _normalize(
+        (coeffs, sum(w * v for w, v in zip(weights, consts))) for coeffs, weights in _RATE_SPLIT_ROWS
+    )
+
+
+def _closed_form_rows(a: int, b: int, c: int, d: int, e: int) -> list[IntRow]:
+    """The normalized closed-form rows for the constants over one denominator;
+    ``_hybrid_sum`` is positively homogeneous, so it gives the cap over it too."""
+    sum_bound = _hybrid_sum(a, b, c, d, e)
+    return _normalize([((1, 0), a), ((0, 1), b), ((1, 1), sum_bound), ((-1, 0), 0), ((0, -1), 0)])
+
+
+def _project_rows(
+    names: tuple[str, ...], rows: list[IntRow], keep: set[str]
+) -> tuple[tuple[str, ...], list[IntRow]]:
+    """``project_to`` on integer rows: the kept names and their rows."""
+
+    def pair_count(at: int) -> int:
+        return sum(c[at] > 0 for c, _ in rows) * sum(c[at] < 0 for c, _ in rows)
+
+    while drops := [at for at, name in enumerate(names) if name not in keep]:
+        at = min(drops, key=pair_count)
+        rows = _eliminate_rows(rows, at)
+        names = names[:at] + names[at + 1 :]
+    return names, rows
+
+
+def _vertices(denominator: int, rows: list[IntRow]) -> tuple[tuple[Fraction, Fraction], ...]:
+    """``exact_vertices`` of normalized two-variable integer rows over ``denominator``."""
+    if rows and not any(rows[0][0]):  # the marker row 0 <= -1, alone in its system
+        return ()
+    lines = [(c1, c2, beta) for (c1, c2), beta in rows]
+    direction = _recession_direction(lines, det_tol=0)
+    if direction is not None:
+        if _eliminate_rows(_eliminate_rows(rows, 0), 0):
+            return ()
+        raise ValidationError("system is unbounded along direction %r" % (direction,))
+    points = set()
+    for i, (a1, a2, b1) in enumerate(lines):
+        for c1, c2, b2 in lines[i + 1 :]:
+            m = a1 * c2 - a2 * c1
+            if m:
+                x, y = b1 * c2 - b2 * a2, a1 * b2 - b1 * c1
+                g = math.gcd(x, y, m) if m > 0 else -math.gcd(x, y, m)
+                points.add((x // g, y // g, m // g))
+    points = [(x, y, m) for x, y, m in points if all(r1 * x + r2 * y <= r * m for r1, r2, r in lines)]
+    scale = math.lcm(*(m for _, _, m in points))
+    hull = _hull_ccw([(x * scale // m, y * scale // m) for x, y, m in points], 0)
+    return tuple((Fraction(x, scale * denominator), Fraction(y, scale * denominator)) for x, y in hull)
 
 
 def _public_rows(denominator: int, rows: list[IntRow]) -> tuple[Row, ...]:

@@ -19,7 +19,10 @@ reference: ``fraction_system`` normalizes ``Fraction`` rows the way the
 ``fraction_project_to`` combine ``Fraction`` bounds row by row, and
 ``fraction_exact_vertices``
 intersects lines with ``Fraction`` coordinates through the number-generic
-``fraction_feasible_intersections``.
+``fraction_feasible_intersections``.  ``rate_splitting_inequalities`` is
+the rate-splitting system's inequality list as ``fm.rate_splitting_system``
+wrote it inline before its row table, and ``closed_form_inequalities`` the
+closed-form hybrid region with its sum cap written out.
 """
 
 import math
@@ -216,6 +219,43 @@ def fraction_system(variable_names: Sequence[str], inequalities) -> LinearSystem
             b = -b
         rows.append(_canonical_row(vec, b))
     return LinearSystem._from_rows(names, _normalize(len(names), rows))
+
+
+RATE_SPLIT_VARIABLES = ("R1", "R2", "R10", "R11", "R1s", "R20", "R21", "R2s")
+
+
+def rate_splitting_inequalities(a, b, c, d, e) -> list:
+    """``(coefficients, relation, bound)`` triples over ``RATE_SPLIT_VARIABLES``."""
+
+    def vec(**weights) -> list[int]:
+        return [weights.get(name, 0) for name in RATE_SPLIT_VARIABLES]
+
+    inequalities = [
+        (vec(R10=1, R11=1, R1s=1), "<=", a),
+        (vec(R20=1, R21=1, R2s=1), "<=", b),
+        (vec(R10=1, R11=1, R1s=1, R20=1, R21=1, R2s=1), "<=", c),
+        (vec(R11=1, R21=1, R1s=1, R2s=1), "<=", d),
+        (vec(R1s=1, R2s=1), ">=", d - e),
+        (vec(R1=1, R10=-1, R11=-1), "<=", 0),
+        (vec(R1=1, R10=-1, R11=-1), ">=", 0),
+        (vec(R2=1, R20=-1, R21=-1), "<=", 0),
+        (vec(R2=1, R20=-1, R21=-1), ">=", 0),
+    ]
+    for split in ("R10", "R11", "R1s", "R20", "R21", "R2s"):
+        inequalities.append((vec(**{split: 1}), ">=", 0))
+    return inequalities
+
+
+def closed_form_inequalities(a, b, c, d, e) -> list:
+    """R1 <= a, R2 <= b, R1 + R2 <= min(c, a + b) - d + min(d, e), R1, R2 >= 0,
+    as ``(coefficients, relation, bound)`` triples over ``("R1", "R2")``."""
+    return [
+        ((1, 0), "<=", a),
+        ((0, 1), "<=", b),
+        ((1, 1), "<=", min(c, a + b) - d + min(d, e)),
+        ((1, 0), ">=", 0),
+        ((0, 1), ">=", 0),
+    ]
 
 
 def fraction_eliminate(system: LinearSystem, drop_variable: str) -> LinearSystem:

@@ -22,7 +22,15 @@ from macwtfb.fm import (
 )
 from macwtfb.info import ValidationError
 from macwtfb.regions import region_from_halfspaces
-from oracles import fraction_eliminate, fraction_exact_vertices, fraction_project_to, fraction_system
+from oracles import (
+    RATE_SPLIT_VARIABLES,
+    closed_form_inequalities,
+    fraction_eliminate,
+    fraction_exact_vertices,
+    fraction_project_to,
+    fraction_system,
+    rate_splitting_inequalities,
+)
 
 rationals = st.fractions(min_value=0, max_value=4, max_denominator=64)
 
@@ -43,6 +51,11 @@ def test_as_rational_rejects_non_finite_and_foreign_types():
         as_rational(float("inf"))
     with pytest.raises(ValidationError):
         as_rational("0.5")
+    for flag in (True, False):
+        with pytest.raises(ValidationError, match="got bool"):
+            as_rational(flag)
+    with pytest.raises(ValidationError, match="got bool"):
+        verify_hybrid_region_projection(True, 1, 1, 0, 0)
 
 
 # --- single elimination steps ---------------------------------------------------
@@ -77,7 +90,9 @@ def test_satisfied_constant_rows_are_dropped():
     assert s.rows == (((1,), F(1)),)
 
 
-@pytest.mark.parametrize("coefficient", [0.5, F(1, 2), "1"], ids=["float", "fraction", "str"])
+@pytest.mark.parametrize(
+    "coefficient", [0.5, F(1, 2), "1", True], ids=["float", "fraction", "str", "bool"]
+)
 def test_non_integer_coefficient_names_the_row(coefficient):
     with pytest.raises(ValidationError, match="row 1 has a non-integer coefficient"):
         LinearSystem(("x", "y"), [((1, 0), "<=", 1), ((coefficient, 1), "<=", 1)])
@@ -284,6 +299,25 @@ def test_float_inputs_are_rationalized():
 def test_projection_always_matches_closed_form(a, b, c, d, e):
     chk = verify_hybrid_region_projection(a, b, c, d, e)
     assert chk.match, (a, b, c, d, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals, rationals, rationals, rationals, rationals)
+@example(F(0), F(0), F(0), F(0), F(0))
+@example(F(1), F(1), F(3, 2), F(1, 2), F(0))  # d > e
+@example(F(2), F(3), F(4), F(1, 3), F(1, 2))  # e >= d
+@example(F(1, 64), F(0), F(4), F(1, 7), F(1, 7))  # e = d
+@example(F(1), F(1), F(1), F(5), F(0))  # infeasible
+def test_integer_split_rows_match_the_fraction_oracle(a, b, c, d, e):
+    # The split system from the row table against its inequality list, and
+    # both vertex sets of the check against the Fraction elimination.
+    split = fraction_system(RATE_SPLIT_VARIABLES, rate_splitting_inequalities(a, b, c, d, e))
+    assert rate_splitting_system(a, b, c, d, e) == split
+    closed = fraction_system(("R1", "R2"), closed_form_inequalities(a, b, c, d, e))
+    assert hybrid_closed_form_system(a, b, c, d, e) == closed
+    chk = verify_hybrid_region_projection(a, b, c, d, e)
+    assert chk.projected_vertices == fraction_exact_vertices(fraction_project_to(split, ("R1", "R2")))
+    assert chk.closed_form_vertices == fraction_exact_vertices(closed)
 
 
 def test_exact_vertices_requires_two_variables():
