@@ -14,10 +14,13 @@ sweep the same rows, each with its own step, stall count and stop.  A
 batched evaluation scores a window of at least one trial move of a row for
 every live lane, up to 72 (lane, move) pairs in all unless more than 72
 lanes are live; a lane that keeps a move has its later moves of the row
-rebuilt from the new row and scored in a later evaluation.  Lanes never
-interact and the batched evaluation gives each lane the bits a one-law
-evaluation would give, so every lane ends exactly where its restart would
-end alone, and the winners are merged in restart order.
+rebuilt from the new row and scored in a later evaluation.  A lane whose
+last sweep took no move and kept its step would rebuild the same trial
+moves and reject them all again, so it sits out the sweeps until its step
+halves; its stall count still advances.  Lanes never interact and the
+batched evaluation gives each lane the bits a one-law evaluation would
+give, so every lane ends exactly where its restart would end alone, and
+the winners are merged in restart order.
 
 Single-letter quantities for one input law come from the channels module;
 the search loop uses a private batched einsum evaluation of the same
@@ -405,7 +408,11 @@ def _ascend(
     exactly the moves it would keep alone.  Each lane has its own step,
     stall counter and stop: the step starts at ``_INITIAL_STEP`` and halves
     after every ``_DECAY_PATIENCE`` sweeps without improvement, and a lane
-    stops after three such windows.  The step never exceeds
+    stops after three such windows.  A lane is *idle* after a sweep that
+    took no move and did not halve its step: its next sweep would start
+    from the same blocks, step and best value and reject the same moves,
+    so it is not scored, but it counts as not improved, so its stall
+    count, step and stop advance as before.  The step never exceeds
     ``_INITIAL_STEP`` and every row sums to 1, so a bumped row sums to at
     least 0.75.  Deterministic: no randomness beyond the initial blocks.
     """
@@ -413,6 +420,7 @@ def _ascend(
     step = np.full(len(ids), _INITIAL_STEP)
     stalled = np.zeros(len(ids), dtype=int)
     live = np.ones(len(ids), dtype=bool)
+    idle = np.zeros(len(ids), dtype=bool)  # last sweep took nothing and kept the step
 
     for _ in range(config.refinement_iterations):
         improved = np.zeros(len(ids), dtype=bool)
@@ -421,7 +429,7 @@ def _ascend(
             letter = np.arange(moves) // 2
             sign = np.tile([1.0, -1.0], block.shape[2])
             for row in range(block.shape[1]):
-                lanes = np.flatnonzero(live)
+                lanes = np.flatnonzero(live & ~idle)
                 first = np.zeros(len(lanes), dtype=int)  # each lane's first untried move
                 width = np.full(len(lanes), moves)  # moves each lane tries this round
                 while lanes.size:
@@ -456,7 +464,9 @@ def _ascend(
                     lanes, first, width = lanes[left], first[left], width[left]
         stalled = np.where(improved, 0, stalled + 1)
         live &= stalled < 3 * _DECAY_PATIENCE
-        step = np.where(live & ~improved & (stalled % _DECAY_PATIENCE == 0), step * _STEP_DECAY, step)
+        decayed = live & ~improved & (stalled % _DECAY_PATIENCE == 0)
+        step = np.where(decayed, step * _STEP_DECAY, step)
+        idle = ~improved & ~decayed
         if not live.any():
             break
     return best

@@ -320,8 +320,11 @@ def test_ascent_skips_moves_that_leave_the_row_unchanged():
 
 
 def test_ascent_scores_a_row_in_one_call_when_no_lane_moves():
-    # A constant objective rejects every move, so each row of each sweep
-    # is one call scoring both lanes' six trial moves.
+    # A constant objective rejects every move, so each row of a scored
+    # sweep is one call scoring both lanes' six trial moves.  A sweep that
+    # takes nothing and keeps the step would repeat itself exactly, so
+    # only the first sweep and the first one after each step halving are
+    # scored.
     calls = []
 
     def constant(ids, block):
@@ -329,7 +332,11 @@ def test_ascent_scores_a_row_in_one_call_when_no_lane_moves():
         return [0.0] * len(ids)
 
     _best_of_restarts([(2, 3)], [(9,)], constant, SearchConfig(restarts=2, refinement_iterations=4))
-    assert calls == [2] + [2 * 6] * (4 * 2)
+    assert calls == [2] + [2 * 6] * 2
+    # Sweeps 1, 26 and 51 are scored; the lanes stop after sweep 75.
+    calls.clear()
+    _best_of_restarts([(2, 3)], [(9,)], constant, SearchConfig(restarts=2, refinement_iterations=80))
+    assert calls == [2] + [2 * 6] * 2 * 3
     # 36 lanes share the 72 pairs of a call, two moves each: three calls a
     # row.  From 37 lanes on every call scores one move of every lane, also
     # above 72 lanes, where an equal share of the pairs is less than one.
@@ -337,7 +344,7 @@ def test_ascent_scores_a_row_in_one_call_when_no_lane_moves():
         calls.clear()
         config = SearchConfig(restarts=restarts, refinement_iterations=4)
         _best_of_restarts([(2, 3)], [(9,)], constant, config)
-        assert calls == [restarts] + row_calls * (4 * 2)
+        assert calls == [restarts] + row_calls * 2
 
 
 def test_a_lane_takes_two_moves_in_one_row():
@@ -362,6 +369,35 @@ def test_a_lane_takes_two_moves_in_one_row():
         assert values[lane] == sequential_ascend(alone, objective, config)
         assert np.array_equal(blocks[0][lane], alone[0])
     np.testing.assert_allclose(blocks[0][:, 0], [[0.8, 0.2], [4.0 / 15.0, 11.0 / 15.0]])
+
+
+def test_a_stalled_lane_is_scored_once_per_step_beside_a_climbing_lane():
+    # On the row [p, 1 - p], lane 0 maximizes p but scores -1 once the
+    # second letter is empty, so each sweep it takes only move 0, which
+    # brings 1 - p down by a factor 1.25 and never to 0: it improves on
+    # every sweep, in three calls (the row, then moves 1-2, then move 3).
+    # Lane 1's constant objective rejects all four moves.  Its later sweeps
+    # at the same step would repeat them, so it is scored on sweep 1 and on
+    # the first sweep after each halving (26 and 51), and it stops after
+    # sweep 75.
+    calls = []
+    objectives = [lambda b: float(b[0, 0]) if b[0, 1] > 0.0 else -1.0, lambda b: 0.0]
+
+    def lanes(ids, block):
+        calls.append(ids.tolist())
+        return [objectives[s](block[j]) for j, s in enumerate(ids)]
+
+    config = SearchConfig(restarts=1, refinement_iterations=80)
+    blocks = [np.full((2, 1, 2), 0.5)]
+    values = _ascend(blocks, np.array([0, 1]), lanes, config)
+    expected = [[0, 1]]
+    for sweep in range(1, 81):
+        expected += [[0] * 4 + [1] * 4 * (sweep in (1, 26, 51)), [0] * 2, [0]]
+    assert calls == expected
+    for lane, objective in enumerate(objectives):
+        alone = [np.full((1, 2), 0.5)]
+        assert values[lane] == sequential_ascend(alone, objective, config)
+        assert np.array_equal(blocks[0][lane], alone[0])
 
 
 def test_a_lane_that_takes_every_other_move_scores_each_move_about_once():
