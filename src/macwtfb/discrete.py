@@ -83,10 +83,11 @@ _DECAY_PATIENCE = 25
 # (lane, move) pairs per objective call of the ascent: the six moves of a
 # 3-letter row for the 12 lanes of a 4-restart inner search.  Each live lane
 # gets an equal share but at least one move, so above 36 live lanes a call
-# holds one move of each, and above 72 it holds more pairs.  Below about
-# 100 lanes a call of the 2- and 3-letter objectives costs mostly its fixed
-# overhead; on larger alphabets the per-lane work dominates, and the cap
-# keeps the discarded moves and the arrays small.
+# holds one move of each, and above 72 it holds more pairs.  A call of the
+# 2- and 3-letter kernels costs about 80-110 us at 4 lanes and 130-150 us at
+# 12, mostly fixed overhead, but 260-710 us at 64 and 0.8-2.0 ms at 192, where
+# the per-lane work dominates; the cap keeps the discarded moves and the
+# arrays small.
 _PAIRS_PER_CALL = 72
 
 
@@ -259,34 +260,25 @@ def _entropy_bits(*masses: np.ndarray) -> np.ndarray:
     """Entropy in bits of every lane of each mass array: row t of the
     result holds the entropies of ``masses[t][lane]`` for every lane.
 
-    Each lane's value equals, bit for bit, the sum of that lane's positive
-    terms ``p log2 p`` added up as one 1-D array.  numpy adds 8 or more
-    entries in 8 running sums and splits arrays longer than 128, so zero
-    terms left in place would change the grouping: every row's positive
-    terms move to its front in order, and the rows with k positive terms
-    are summed over their first k columns by numpy's own row reduction.
+    Each lane's value equals, bit for bit, the negated sum of that lane's
+    positive terms ``p log2 p`` added up as one 1-D array.  Every (lane,
+    mass) segment sits behind a ``-1.0`` marker in one flat array, so no
+    entry may be negative: blocks are clipped at 0 and ``check_mass`` clips
+    the kernel.  With the zeros (``-0.0`` too) dropped, the marker's term is
+    ``log2(1) * -1.0 = -0.0``.  ``np.add.reduceat`` adds a segment's first
+    entry to numpy's pairwise sum of the rest, and ``np.add.reduce`` adds
+    the pairwise sum of a 1-D array to ``0.0``; both starts leave a sum of
+    terms unchanged, since it is never ``-0.0``.  A segment without mass
+    sums to the marker's ``-0.0`` and gives entropy ``0.0``.
     """
     lanes = len(masses[0])
-    width = max(mass[0].size for mass in masses)
-    flat = np.zeros((len(masses) * lanes, width))
-    for t, mass in enumerate(masses):
-        flat[t * lanes:(t + 1) * lanes, :mass[0].size] = mass.reshape(lanes, -1)
-    positive = flat > 0.0
-    counts = positive.sum(axis=1)
-    terms = flat[positive]
-    terms *= np.log2(terms)
-    # Row i now holds its terms in its first counts[i] columns; the columns
-    # after them are stale and never read.  No second padded buffer.
-    flat[np.arange(width) < counts[:, None]] = terms
-    order = np.argsort(counts, kind="stable")  # rows with equal k side by side
-    counts = counts[order]
-    edges = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), len(flat)]
-    entropies = np.zeros(len(flat))
-    for start, end in zip(edges, edges[1:]):
-        if counts[start]:  # a row without mass has entropy 0.0
-            rows = order[start:end]
-            entropies[rows] = -np.add.reduce(flat[rows, :counts[start]], axis=1)
-    return entropies.reshape(len(masses), lanes)
+    marker = np.full((lanes, 1), -1.0)
+    flat = np.concatenate(
+        [part for mass in masses for part in (marker, mass.reshape(lanes, -1))], axis=1
+    ).ravel()
+    flat = flat[flat != 0.0]
+    terms = np.log2(np.abs(flat)) * flat
+    return -np.add.reduceat(terms, np.flatnonzero(flat < 0.0)).reshape(lanes, len(masses)).T
 
 
 def _factorized_quantities(

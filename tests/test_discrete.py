@@ -712,20 +712,26 @@ def test_array_scores_are_bit_equal_to_the_scalar_scores(u_size, sizes, lanes, s
     st.lists(st.integers(1, 320), min_size=1, max_size=12),
     st.integers(1, 64),
     st.floats(0.0, 0.9),
+    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-def test_batched_entropies_are_bit_equal_to_the_scalar_ones(widths, lanes, zero_share, seed):
+@example([3, 1], 2, 1.0, False, 0)  # lanes without mass: entropy +0.0
+@example([1, 2], 3, 0.0, False, 0)  # point masses: p log2 p = 0.0 summed and negated, -0.0
+@example([4, 9], 3, 0.5, True, 0)  # -0.0 entries count as zeros
+@example([1296], 3, 0.3, False, 0)  # the (X1, X2, Y, Z) joint of a 6-letter kernel
+def test_batched_entropies_are_bit_equal_to_the_scalar_ones(widths, lanes, zero_share, negative_zeros, seed):
     rng = np.random.default_rng(seed)
     masses = []
     for width in widths:
         mass = rng.dirichlet(np.ones(width), size=lanes)
-        mass[rng.random(mass.shape) < zero_share] = 0.0
+        mass[rng.random(mass.shape) < zero_share] = -0.0 if negative_zeros else 0.0
         masses.append(mass)
     got = _entropy_bits(*masses)
     assert got.shape == (len(widths), lanes)
     for t, mass in enumerate(masses):
         for lane in range(lanes):
-            assert got[t, lane] == scalar_entropy_bits(mass[lane])
+            want = scalar_entropy_bits(mass[lane])
+            assert got[t, lane].tobytes() == np.float64(want).tobytes()  # ==, and signs of zero agree
 
 
 def _random_factorization(rng, u_size, n1, n2):
