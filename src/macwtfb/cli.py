@@ -6,9 +6,11 @@ channel file) and writes one file per bound with vertices and boundary
 samples; ``powersweep`` tabulates the optimal symmetric power allocation
 over a grid of power caps; ``figure`` bundles four preset parameter sets
 (2 and 3 produce region-boundary tables, 4 and 5 power sweeps); and
-``fm-verify`` replays the exact elimination of the rate-splitting system
+``fm-verify`` checks the exact elimination of the rate-splitting system
 against the closed-form sum bound on a corner battery plus seeded random
-rational instances.
+rational instances; the elimination runs once per process, on the system
+with the five constants (a, b, c, d, e) as columns, and each instance only
+evaluates the projected rows.
 
 Every run is deterministic: identical flags (including the seed) produce
 byte-identical files.  CSV floats are rendered with %.12g; JSON documents

@@ -17,12 +17,18 @@ boundary with denominators capped at 2**32, an error far below every
 tolerance used elsewhere in the package.  Elimination and vertex
 enumeration run on integers end to end: each row is an integer vector
 ``(coeffs, beta)`` over one system denominator ``D``, meaning
-``coeffs . x <= beta / D``.  The check itself puts the five constants over
-one ``D``, builds both systems as integer rows and keeps them integer
-through the projection and the vertex enumeration; ``Fraction`` appears
-only in the vertices it returns.  The public functions run the same integer
-steps and convert at their edges: the inputs, the ``LinearSystem.rows``
-view and the vertices.
+``coeffs . x <= beta / D``.
+
+The rate-splitting rows have fixed integer coefficients; only their bounds,
+integer combinations of the five constants (a, b, c, d, e), change from
+instance to instance.  So the elimination runs once per process, when the
+module is imported, on the system with the five constants as columns that
+are never eliminated, and its result is a table of projected rows.  The
+check puts the five constants over one ``D``, evaluates the projected rows
+and the closed form on them as integer rows and enumerates both vertex
+sets; ``Fraction`` appears only in the vertices it returns.  The public
+functions run the same integer steps on each call and convert at their
+edges: the inputs, the ``LinearSystem.rows`` view and the vertices.
 
 The rows are kept in one normal form: rows with the same direction (the
 primitive coefficient vector) are merged keeping the tightest bound, found
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -63,6 +70,9 @@ Row = tuple[tuple[int, ...], Fraction]
 # The same inequality over a system denominator D: integer coefficients and
 # an integer bound beta, meaning coeffs . x <= beta / D.
 IntRow = tuple[tuple[int, ...], int]
+# A row of a coefficient table: integer coefficients and the integer weights
+# of the five constants (a, b, c, d, e), meaning coeffs . x <= weights . consts.
+TableRow = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def as_rational(value) -> Fraction:
@@ -275,13 +285,15 @@ def verify_hybrid_region_projection(a, b, c, d, e) -> ProjectionCheck:
     compare with the closed form, exactly.
 
     Any float input is rationalized first, so the comparison is a strict
-    polygon equality, not a tolerance check.  Both systems are built on
-    integer rows over the constants' common denominator and stay integer
-    rows through the elimination and the vertex enumeration.
+    polygon equality, not a tolerance check.  The elimination itself runs
+    once per process, at import, on the rate-splitting system with the five
+    constants as columns that are never eliminated; each instance only
+    evaluates the projected rows on the constants over their common
+    denominator.  Both systems are then integer rows over that denominator
+    through the vertex enumeration.
     """
     denominator, consts = _information_constants(a, b, c, d, e)
-    _, projected = _project_rows(RATE_SPLIT_VARIABLES, _rate_split_rows(consts), {"R1", "R2"})
-    projected_vertices = _vertices(denominator, projected)
+    projected_vertices = _vertices(denominator, _evaluate(_PROJECTED_RATE_SPLIT_ROWS, consts))
     closed_vertices = _vertices(denominator, _closed_form_rows(*consts))
     return ProjectionCheck(
         match=projected_vertices == closed_vertices,
@@ -314,11 +326,15 @@ def _integer_rows(rows: Sequence[Row]) -> tuple[int, list[IntRow]]:
     return denominator, [(coeffs, beta) for (coeffs, _), beta in zip(rows, betas)]
 
 
+def _evaluate(table: Sequence[TableRow], consts: Sequence[int]) -> list[IntRow]:
+    """The normalized rows of a coefficient table for the constants over
+    one denominator: each bound is ``weights . consts``."""
+    return _normalize((coeffs, sum(map(operator.mul, weights, consts))) for coeffs, weights in table)
+
+
 def _rate_split_rows(consts: Sequence[int]) -> list[IntRow]:
     """The normalized rate-splitting rows for the constants over one denominator."""
-    return _normalize(
-        (coeffs, sum(w * v for w, v in zip(weights, consts))) for coeffs, weights in _RATE_SPLIT_ROWS
-    )
+    return _evaluate(_RATE_SPLIT_ROWS, consts)
 
 
 def _closed_form_rows(a: int, b: int, c: int, d: int, e: int) -> list[IntRow]:
@@ -413,3 +429,23 @@ def _normalize(rows: Iterable[IntRow]) -> list[IntRow]:
         if held is None or beta * held[2] < held[1] * content:
             merged[direction] = (coeffs, beta, content)
     return [merged[direction][:2] for direction in sorted(merged)]
+
+
+def _project_rate_split_table() -> tuple[TableRow, ...]:
+    """The rate-splitting table projected onto (R1, R2): a coefficient table
+    over (R1, R2) and the weights of (a, b, c, d, e).
+
+    The elimination runs on the table's 13-column system
+    ``coeffs . x - weights . (a, b, c, d, e) <= 0``, in which the five
+    constants are columns that are never eliminated.  Fixing the constants
+    after this projection gives the same set as fixing them before it, so
+    each instance only evaluates the projected rows.
+    """
+    constants = ("a", "b", "c", "d", "e")
+    rows = _normalize((coeffs + tuple(-w for w in weights), 0) for coeffs, weights in _RATE_SPLIT_ROWS)
+    _, projected = _project_rows(RATE_SPLIT_VARIABLES + constants, rows, {"R1", "R2", *constants})
+    return tuple((coeffs[:2], tuple(-w for w in coeffs[2:])) for coeffs, _ in projected)
+
+
+#: The projected rate-splitting rows, eliminated once per process at import.
+_PROJECTED_RATE_SPLIT_ROWS = _project_rate_split_table()

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from macwtfb.channels import InfoQuantities
 from macwtfb.discrete import hybrid_region_for_input
 from macwtfb.fm import (
+    _PROJECTED_RATE_SPLIT_ROWS,
     LinearSystem,
+    _evaluate,
+    _information_constants,
+    _project_rows,
+    _rate_split_rows,
     as_rational,
     eliminate,
     exact_vertices,
@@ -318,6 +323,22 @@ def test_integer_split_rows_match_the_fraction_oracle(a, b, c, d, e):
     chk = verify_hybrid_region_projection(a, b, c, d, e)
     assert chk.projected_vertices == fraction_exact_vertices(fraction_project_to(split, ("R1", "R2")))
     assert chk.closed_form_vertices == fraction_exact_vertices(closed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals, rationals, rationals, rationals, rationals)
+@example(F(0), F(0), F(0), F(0), F(0))
+@example(F(1), F(1), F(3, 2), F(1, 2), F(0))  # d > e
+@example(F(2), F(3), F(4), F(1, 3), F(1, 2))  # e >= d
+@example(F(1, 64), F(0), F(4), F(1, 7), F(1, 7))  # e = d
+@example(F(1), F(1), F(1), F(5), F(0))  # infeasible
+def test_projected_table_matches_per_instance_elimination(a, b, c, d, e):
+    # The table eliminated once with the constants as columns, evaluated on
+    # one instance, is the instance's own elimination row for row.
+    _, consts = _information_constants(a, b, c, d, e)
+    names, rows = _project_rows(RATE_SPLIT_VARIABLES, _rate_split_rows(consts), {"R1", "R2"})
+    assert names == ("R1", "R2")
+    assert _evaluate(_PROJECTED_RATE_SPLIT_ROWS, consts) == rows
 
 
 def test_exact_vertices_requires_two_variables():
