@@ -2,10 +2,13 @@
 
 The inner bounds hold for factorized input laws P(u) P(x1|u) P(x2|u); the
 outer bound is a conditional entropy maximized over arbitrary joint input
-laws.  None of the objectives is concave, so every maximization here is a
-seeded multi-start projected coordinate ascent on simplex blocks: honest,
-reproducible lower bounds on the true suprema.  Results are deterministic
-functions of the kernel, the configuration and the seed.
+laws.  The inner objectives are not concave.  The outer objective H(Y|Z)
+is concave in P(x1, x2), because P(y, z) is linear in it and H(Y|Z) is
+concave in P(y, z); the search does not use that.  Every maximization here
+is a seeded multi-start projected coordinate ascent on simplex blocks, and
+its value is the best one found: an honest, reproducible lower bound on
+the true supremum.  Results are deterministic functions of the kernel,
+the configuration and the seed.
 
 The restarts run in lockstep.  A *lane* is one independent ascent, one
 (objective, restart) pair: ``search_inner`` has three objectives times R
@@ -201,10 +204,11 @@ def search_outer(
 ) -> tuple[JointDist, float]:
     """Maximize H(Y|Z) over joint input laws P(x1, x2).
 
-    No concavity is assumed; the returned value is the best of the seeded
-    restarts and is therefore a lower bound on the true outer-bound
-    constant.  The first restart starts at the uniform joint, so the
-    result never falls below the uniform-input value.
+    H(Y|Z) is concave in P(x1, x2), but the ascent stops on its step
+    schedule, not at a certified maximum: the returned value is the best
+    of the seeded restarts and is therefore a lower bound on the true
+    outer-bound constant.  The first restart starts at the uniform joint,
+    so the result never falls below the uniform-input value.
     """
     n1, n2 = kernel.x1_size, kernel.x2_size
     w = kernel.transition.reshape(n1 * n2, kernel.y_size, kernel.z_size)

@@ -14,10 +14,12 @@ writes, not a copy of it.
 Every coefficient is an integer and no floating-point comparison occurs
 anywhere in this module.  Float inputs are rationalized once at the
 boundary with denominators capped at 2**32, an error far below every
-tolerance used elsewhere in the package.  Elimination and vertex
-enumeration run on integers end to end: each row is an integer vector
-``(coeffs, beta)`` over one system denominator ``D``, meaning
-``coeffs . x <= beta / D``.
+tolerance used elsewhere in the package.  A system is a list of integer
+rows ``(coeffs, beta)`` over one system denominator ``D``, meaning
+``coeffs . x <= beta / D``; ``Fraction`` appears only in the vertices
+``exact_vertices`` returns.  The three stages are ``rate_splitting_system``
+(the constants over one ``D`` and the split rows), ``project_to`` (the
+elimination) and ``exact_vertices``; each accepts any integer rows.
 
 The rate-splitting rows have fixed integer coefficients; only their bounds,
 integer combinations of the five constants (a, b, c, d, e), change from
@@ -25,17 +27,13 @@ instance to instance.  So the elimination runs once per process, when the
 module is imported, on the system with the five constants as columns that
 are never eliminated, and its result is a table of projected rows.  The
 check puts the five constants over one ``D``, evaluates the projected rows
-and the closed form on them as integer rows and enumerates both vertex
-sets; ``Fraction`` appears only in the vertices it returns.  The public
-functions run the same integer steps on each call and convert at their
-edges: the inputs, the ``LinearSystem.rows`` view and the vertices.
+and the closed form on them and enumerates both vertex sets.
 
-The rows are kept in one normal form: rows with the same direction (the
-primitive coefficient vector) are merged keeping the tightest bound, found
-by cross-multiplying, satisfied constant rows are dropped, and a
-contradictory constant row collapses the whole system to the single marker
-row ``0 <= -1``.  The public view divides each coefficient vector by its
-content (the gcd of its entries), and the bound with it.
+``project_to`` and ``exact_vertices`` bring their rows to one normal form:
+rows with the same direction (the primitive coefficient vector) are merged
+keeping the tightest bound, found by cross-multiplying, satisfied constant
+rows are dropped, and a contradictory constant row collapses the whole
+system to the single marker row ``0 <= -1``.
 """
 
 from __future__ import annotations
@@ -50,12 +48,9 @@ from . import ValidationError
 from .regions import _hull_ccw, _hybrid_sum, _recession_direction
 
 __all__ = [
-    "LinearSystem",
     "ProjectionCheck",
     "as_rational",
-    "eliminate",
     "exact_vertices",
-    "hybrid_closed_form_system",
     "project_to",
     "rate_splitting_system",
     "verify_hybrid_region_projection",
@@ -64,11 +59,8 @@ __all__ = [
 #: Denominator cap used when rationalizing floating-point inputs.
 RATIONALIZE_DENOMINATOR = 1 << 32
 
-# A normalized inequality: primitive integer coefficients and a rational
-# upper bound, meaning coeffs . x <= bound.
-Row = tuple[tuple[int, ...], Fraction]
-# The same inequality over a system denominator D: integer coefficients and
-# an integer bound beta, meaning coeffs . x <= beta / D.
+# An inequality over a system denominator D: integer coefficients and an
+# integer bound beta, meaning coeffs . x <= beta / D.
 IntRow = tuple[tuple[int, ...], int]
 # A row of a coefficient table: integer coefficients and the integer weights
 # of the five constants (a, b, c, d, e), meaning coeffs . x <= weights . consts.
@@ -95,102 +87,6 @@ def as_rational(value) -> Fraction:
     )
 
 
-@dataclasses.dataclass(frozen=True, init=False)
-class LinearSystem:
-    """A finite list of linear inequalities over named variables.
-
-    Construct with inequalities given as ``(coefficients, relation, bound)``
-    triples where ``relation`` is ``"<="`` or ``">="``, every coefficient is
-    an ``int`` (not a ``bool``) and the bound is an int, float or
-    ``Fraction``; everything is stored as normalized ``<=`` rows.  The row
-    list is kept sorted, so two systems with the same feasible description
-    compare equal.  Instances are immutable and hashable.
-    """
-
-    variable_names: tuple[str, ...]
-    rows: tuple[Row, ...]
-
-    def __init__(
-        self,
-        variable_names: Sequence[str],
-        inequalities: Iterable[tuple[Sequence[int], str, object]],
-    ) -> None:
-        names = tuple(variable_names)
-        if not names:
-            raise ValidationError("a system needs at least one variable")
-        if len(set(names)) != len(names):
-            raise ValidationError("variable names must be distinct")
-        rows = []
-        for index, (coeffs, relation, bound) in enumerate(inequalities):
-            vec = tuple(coeffs)
-            if len(vec) != len(names):
-                raise ValidationError(
-                    "coefficient vector has length %d, expected %d"
-                    % (len(vec), len(names))
-                )
-            if not all(isinstance(c, int) and not isinstance(c, bool) for c in vec):
-                raise ValidationError("row %d has a non-integer coefficient: %r" % (index, vec))
-            b = as_rational(bound)
-            if relation == ">=":
-                vec = tuple(-c for c in vec)
-                b = -b
-            elif relation != "<=":
-                raise ValidationError("relation must be '<=' or '>=', got %r" % relation)
-            rows.append((vec, b))
-        denominator, rows = _integer_rows(rows)
-        object.__setattr__(self, "variable_names", names)
-        object.__setattr__(self, "rows", _public_rows(denominator, _normalize(rows)))
-
-    @classmethod
-    def _from_rows(cls, names: tuple[str, ...], rows: tuple[Row, ...]) -> "LinearSystem":
-        system = object.__new__(cls)
-        object.__setattr__(system, "variable_names", names)
-        object.__setattr__(system, "rows", rows)
-        return system
-
-    @property
-    def is_infeasible(self) -> bool:
-        """True when normalization surfaced a contradictory constant row."""
-        return any(not any(c) and b < 0 for c, b in self.rows)
-
-
-def eliminate(system: LinearSystem, drop_variable: str) -> LinearSystem:
-    """One Fourier-Motzkin step: project out ``drop_variable``.
-
-    Rows not involving the variable pass through; every upper bound on it
-    is combined with every lower bound.  The projection is exact: the
-    result's feasible set is precisely the shadow of the input's.
-    """
-    try:
-        idx = system.variable_names.index(drop_variable)
-    except ValueError:
-        raise ValidationError(
-            "variable %r not in system %r" % (drop_variable, list(system.variable_names))
-        ) from None
-    names = system.variable_names[:idx] + system.variable_names[idx + 1 :]
-    denominator, rows = _integer_rows(system.rows)
-    rows = _eliminate_rows(rows, idx)
-    return LinearSystem._from_rows(names, _public_rows(denominator, rows))
-
-
-def project_to(system: LinearSystem, keep_variables: Iterable[str]) -> LinearSystem:
-    """Eliminate every variable outside ``keep_variables``.
-
-    At each step the variable with the fewest upper-times-lower bound
-    pairs is eliminated first, which keeps intermediate systems small on
-    the block-structured inputs this package produces.
-    """
-    keep = set(keep_variables)
-    if not keep:
-        raise ValidationError("must keep at least one variable")
-    missing = keep.difference(system.variable_names)
-    if missing:
-        raise ValidationError("unknown variables in keep set: %s" % sorted(missing))
-    denominator, rows = _integer_rows(system.rows)
-    names, rows = _project_rows(system.variable_names, rows, keep)
-    return LinearSystem._from_rows(names, _public_rows(denominator, rows))
-
-
 RATE_SPLIT_VARIABLES = ("R1", "R2", "R10", "R11", "R1s", "R20", "R21", "R2s")
 
 # The rate-splitting system as ``<=`` rows: integer coefficients over
@@ -215,55 +111,96 @@ _RATE_SPLIT_ROWS = (
 )
 
 
-def rate_splitting_system(a, b, c, d, e) -> LinearSystem:
-    """The auxiliary-rate constraint system behind the hybrid inner bound.
+def rate_splitting_system(a, b, c, d, e) -> tuple[int, list[IntRow]]:
+    """The auxiliary-rate constraint system behind the hybrid inner bound,
+    as its denominator ``D`` and its integer rows over ``D``.
 
-    Variables: message rates R1, R2 and the six split rates R10, R11, R1s,
-    R20, R21, R2s (common, key-protected and randomization parts).  The
-    constants are the channel information quantities: a and b bound each
-    transmitter's decodable total, c the joint total, d the leakage total
-    of the key-protected and randomization parts, and the randomization
-    parts must cover the leakage left uncovered by the feedback key, whose
-    rate is at most e.
+    Variables (``RATE_SPLIT_VARIABLES``): message rates R1, R2 and the six
+    split rates R10, R11, R1s, R20, R21, R2s (common, key-protected and
+    randomization parts).  The constants are the channel information
+    quantities: a and b bound each transmitter's decodable total, c the
+    joint total, d the leakage total of the key-protected and randomization
+    parts, and the randomization parts must cover the leakage left
+    uncovered by the feedback key, whose rate is at most e.
     """
     denominator, consts = _information_constants(a, b, c, d, e)
-    return LinearSystem._from_rows(RATE_SPLIT_VARIABLES, _public_rows(denominator, _rate_split_rows(consts)))
+    return denominator, _evaluate(_RATE_SPLIT_ROWS, consts)
 
 
-def hybrid_closed_form_system(a, b, c, d, e) -> LinearSystem:
-    """The closed-form hybrid region as a two-variable system:
-    R1 <= a, R2 <= b, R1 + R2 <= min(c, a + b) - d + min(d, e), both
-    rates nonnegative.  The sum cap is the package's own hybrid formula,
-    the one the discrete search writes, evaluated exactly on the constants
-    over their common denominator."""
-    denominator, consts = _information_constants(a, b, c, d, e)
-    return LinearSystem._from_rows(("R1", "R2"), _public_rows(denominator, _closed_form_rows(*consts)))
+def project_to(
+    names: Sequence[str], rows: Iterable[IntRow], keep_variables: Iterable[str]
+) -> tuple[tuple[str, ...], list[IntRow]]:
+    """Eliminate every variable outside ``keep_variables``: the kept names,
+    in their order in ``names``, and the normalized projected rows.
+
+    Every upper bound on an eliminated variable is combined with every lower
+    bound, so the result's feasible set is precisely the shadow of the
+    input's.  At each step the variable with the fewest upper-times-lower
+    bound pairs is eliminated first, which keeps intermediate systems small
+    on the block-structured inputs this package produces.
+    """
+    keep = set(keep_variables)
+    if not keep:
+        raise ValidationError("must keep at least one variable")
+    missing = keep.difference(names)
+    if missing:
+        raise ValidationError("unknown variables in keep set: %s" % sorted(missing))
+    names, rows = tuple(names), _normalize(rows)
+
+    def pair_count(at: int) -> int:
+        return sum(c[at] > 0 for c, _ in rows) * sum(c[at] < 0 for c, _ in rows)
+
+    while drops := [at for at, name in enumerate(names) if name not in keep]:
+        at = min(drops, key=pair_count)
+        rows = _eliminate_rows(rows, at)
+        names = names[:at] + names[at + 1 :]
+    return names, rows
 
 
-def exact_vertices(system: LinearSystem) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Vertices of a bounded two-variable system, in exact rationals.
+def exact_vertices(denominator: int, rows: Iterable[IntRow]) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Vertices of a bounded two-variable system over ``denominator``, in
+    exact rationals.
 
     Candidate points are all pairwise boundary-line intersections; the
     feasible ones are reduced to extreme points by an exact convex hull.
-    Everything runs on integers: with every bound over the system
-    denominator D, the scaled system ``coeffs . (x, y) <= beta`` has its
-    intersections in homogeneous integer coordinates ``(x, y, m)``, ``m > 0``
-    and the gcd divided out, and a point is feasible when
+    Everything runs on integers: the scaled system ``coeffs . (x, y) <= beta``
+    has its intersections in homogeneous integer coordinates ``(x, y, m)``,
+    ``m > 0`` and the gcd divided out, and a point is feasible when
     ``c1*x + c2*y <= beta*m`` on every row.  The recession test and the hull
     are the ones ``regions.region_from_halfspaces`` uses on floats, run here
     at tolerance 0; ``Fraction`` vertices are built for the hull only.
     The result is ordered counterclockwise starting from the
     lexicographically smallest vertex, so equal regions give equal tuples.
     An infeasible system yields the empty tuple.  A feasible system that
-    is unbounded raises ``ValidationError`` naming a direction along which
-    it is unbounded (every system built in this module is bounded).
+    is unbounded raises ``ValidationError`` naming a primitive direction
+    along which it is unbounded (every system built in this module is
+    bounded).
     """
-    if len(system.variable_names) != 2:
-        raise ValidationError(
-            "vertex enumeration needs exactly two variables, got %d"
-            % len(system.variable_names)
-        )
-    return _vertices(*_integer_rows(system.rows))
+    rows = _normalize(rows)
+    for coeffs, _ in rows:
+        if len(coeffs) != 2:
+            raise ValidationError("vertex enumeration needs exactly two variables, got %d" % len(coeffs))
+    if rows and not any(rows[0][0]):  # the marker row 0 <= -1, alone in its system
+        return ()
+    lines = [(c1, c2, beta) for (c1, c2), beta in rows]
+    direction = _recession_direction(lines, det_tol=0)
+    if direction is not None:
+        if _eliminate_rows(_eliminate_rows(rows, 0), 0):
+            return ()
+        g = math.gcd(*direction)
+        raise ValidationError("system is unbounded along direction %r" % ((direction[0] // g, direction[1] // g),))
+    points = set()
+    for i, (a1, a2, b1) in enumerate(lines):
+        for c1, c2, b2 in lines[i + 1 :]:
+            m = a1 * c2 - a2 * c1
+            if m:
+                x, y = b1 * c2 - b2 * a2, a1 * b2 - b1 * c1
+                g = math.gcd(x, y, m) if m > 0 else -math.gcd(x, y, m)
+                points.add((x // g, y // g, m // g))
+    points = [(x, y, m) for x, y, m in points if all(r1 * x + r2 * y <= r * m for r1, r2, r in lines)]
+    scale = math.lcm(*(m for _, _, m in points))
+    hull = _hull_ccw([(x * scale // m, y * scale // m) for x, y, m in points], 0)
+    return tuple((Fraction(x, scale * denominator), Fraction(y, scale * denominator)) for x, y in hull)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -293,8 +230,8 @@ def verify_hybrid_region_projection(a, b, c, d, e) -> ProjectionCheck:
     through the vertex enumeration.
     """
     denominator, consts = _information_constants(a, b, c, d, e)
-    projected_vertices = _vertices(denominator, _evaluate(_PROJECTED_RATE_SPLIT_ROWS, consts))
-    closed_vertices = _vertices(denominator, _closed_form_rows(*consts))
+    projected_vertices = exact_vertices(denominator, _evaluate(_PROJECTED_RATE_SPLIT_ROWS, consts))
+    closed_vertices = exact_vertices(denominator, _closed_form_rows(*consts))
     return ProjectionCheck(
         match=projected_vertices == closed_vertices,
         projected_vertices=projected_vertices,
@@ -306,92 +243,30 @@ def verify_hybrid_region_projection(a, b, c, d, e) -> ProjectionCheck:
 
 
 def _information_constants(*values) -> tuple[int, list[int]]:
-    """The constants rationalized and checked nonnegative, as integers over
-    their common denominator."""
+    """The constants rationalized and checked nonnegative, as integer
+    numerators over their least common denominator."""
     consts = [as_rational(v) for v in values]
     if any(v < 0 for v in consts):
         raise ValidationError("information quantities must be nonnegative")
-    return _over_common_denominator(consts)
-
-
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """Fractions as integer numerators over their least common denominator."""
-    denominator = math.lcm(*(v.denominator for v in values))
-    return denominator, [v.numerator * (denominator // v.denominator) for v in values]
-
-
-def _integer_rows(rows: Sequence[Row]) -> tuple[int, list[IntRow]]:
-    """Rows with ``Fraction`` bounds as integer rows over their common denominator."""
-    denominator, betas = _over_common_denominator([bound for _, bound in rows])
-    return denominator, [(coeffs, beta) for (coeffs, _), beta in zip(rows, betas)]
+    denominator = math.lcm(*(v.denominator for v in consts))
+    return denominator, [v.numerator * (denominator // v.denominator) for v in consts]
 
 
 def _evaluate(table: Sequence[TableRow], consts: Sequence[int]) -> list[IntRow]:
-    """The normalized rows of a coefficient table for the constants over
-    one denominator: each bound is ``weights . consts``."""
-    return _normalize((coeffs, sum(map(operator.mul, weights, consts))) for coeffs, weights in table)
-
-
-def _rate_split_rows(consts: Sequence[int]) -> list[IntRow]:
-    """The normalized rate-splitting rows for the constants over one denominator."""
-    return _evaluate(_RATE_SPLIT_ROWS, consts)
+    """The rows of a coefficient table for the constants over one
+    denominator: each bound is ``weights . consts``."""
+    return [(coeffs, sum(map(operator.mul, weights, consts))) for coeffs, weights in table]
 
 
 def _closed_form_rows(a: int, b: int, c: int, d: int, e: int) -> list[IntRow]:
-    """The normalized closed-form rows for the constants over one denominator;
-    ``_hybrid_sum`` is positively homogeneous, so it gives the cap over it too."""
+    """The closed-form hybrid region R1 <= a, R2 <= b,
+    R1 + R2 <= min(c, a + b) - d + min(d, e), both rates nonnegative, as
+    rows over (R1, R2) for the constants over one denominator.  The sum cap
+    is the package's own hybrid formula, the one the discrete search
+    writes; ``_hybrid_sum`` is positively homogeneous, so it gives the cap
+    over the denominator too."""
     sum_bound = _hybrid_sum(a, b, c, d, e)
-    return _normalize([((1, 0), a), ((0, 1), b), ((1, 1), sum_bound), ((-1, 0), 0), ((0, -1), 0)])
-
-
-def _project_rows(
-    names: tuple[str, ...], rows: list[IntRow], keep: set[str]
-) -> tuple[tuple[str, ...], list[IntRow]]:
-    """``project_to`` on integer rows: the kept names and their rows."""
-
-    def pair_count(at: int) -> int:
-        return sum(c[at] > 0 for c, _ in rows) * sum(c[at] < 0 for c, _ in rows)
-
-    while drops := [at for at, name in enumerate(names) if name not in keep]:
-        at = min(drops, key=pair_count)
-        rows = _eliminate_rows(rows, at)
-        names = names[:at] + names[at + 1 :]
-    return names, rows
-
-
-def _vertices(denominator: int, rows: list[IntRow]) -> tuple[tuple[Fraction, Fraction], ...]:
-    """``exact_vertices`` of normalized two-variable integer rows over ``denominator``."""
-    if rows and not any(rows[0][0]):  # the marker row 0 <= -1, alone in its system
-        return ()
-    lines = [(c1, c2, beta) for (c1, c2), beta in rows]
-    direction = _recession_direction(lines, det_tol=0)
-    if direction is not None:
-        if _eliminate_rows(_eliminate_rows(rows, 0), 0):
-            return ()
-        raise ValidationError("system is unbounded along direction %r" % (direction,))
-    points = set()
-    for i, (a1, a2, b1) in enumerate(lines):
-        for c1, c2, b2 in lines[i + 1 :]:
-            m = a1 * c2 - a2 * c1
-            if m:
-                x, y = b1 * c2 - b2 * a2, a1 * b2 - b1 * c1
-                g = math.gcd(x, y, m) if m > 0 else -math.gcd(x, y, m)
-                points.add((x // g, y // g, m // g))
-    points = [(x, y, m) for x, y, m in points if all(r1 * x + r2 * y <= r * m for r1, r2, r in lines)]
-    scale = math.lcm(*(m for _, _, m in points))
-    hull = _hull_ccw([(x * scale // m, y * scale // m) for x, y, m in points], 0)
-    return tuple((Fraction(x, scale * denominator), Fraction(y, scale * denominator)) for x, y in hull)
-
-
-def _public_rows(denominator: int, rows: list[IntRow]) -> tuple[Row, ...]:
-    """Normalized integer rows as primitive coefficients and ``Fraction`` bounds."""
-    view = []
-    for coeffs, beta in rows:
-        content = math.gcd(*coeffs)
-        if not content:  # the marker row 0 <= -1, alone in its system
-            return ((coeffs, Fraction(-1)),)
-        view.append((tuple(c // content for c in coeffs), Fraction(beta, content * denominator)))
-    return tuple(view)
+    return [((1, 0), a), ((0, 1), b), ((1, 1), sum_bound), ((-1, 0), 0), ((0, -1), 0)]
 
 
 def _eliminate_rows(rows: list[IntRow], idx: int) -> list[IntRow]:
@@ -442,8 +317,8 @@ def _project_rate_split_table() -> tuple[TableRow, ...]:
     each instance only evaluates the projected rows.
     """
     constants = ("a", "b", "c", "d", "e")
-    rows = _normalize((coeffs + tuple(-w for w in weights), 0) for coeffs, weights in _RATE_SPLIT_ROWS)
-    _, projected = _project_rows(RATE_SPLIT_VARIABLES + constants, rows, {"R1", "R2", *constants})
+    rows = [(coeffs + tuple(-w for w in weights), 0) for coeffs, weights in _RATE_SPLIT_ROWS]
+    _, projected = project_to(RATE_SPLIT_VARIABLES + constants, rows, {"R1", "R2", *constants})
     return tuple((coeffs[:2], tuple(-w for w in coeffs[2:])) for coeffs, _ in projected)
 
 

@@ -14,10 +14,12 @@ search must match them bit for bit.
 
 The ``Fraction`` Fourier-Motzkin steps below are the exact elimination as
 it was before it ran on integer rows, kept verbatim as the ``==``
-reference: ``fraction_system`` normalizes ``Fraction`` rows the way the
-``LinearSystem`` constructor did, ``fraction_eliminate`` and
-``fraction_project_to`` combine ``Fraction`` bounds row by row, and
-``fraction_exact_vertices``
+reference.  A ``FractionSystem`` holds variable names and rows with
+primitive integer coefficients and ``Fraction`` bounds: ``fraction_system``
+builds one from ``(coefficients, relation, bound)`` triples and
+``fraction_view`` from normalized integer rows over a denominator, the form
+``fm`` works in.  ``fraction_eliminate`` and ``fraction_project_to``
+combine ``Fraction`` bounds row by row, and ``fraction_exact_vertices``
 intersects lines with ``Fraction`` coordinates through the number-generic
 ``fraction_feasible_intersections``.  ``rate_splitting_inequalities`` is
 the rate-splitting system's inequality list as ``fm.rate_splitting_system``
@@ -25,6 +27,7 @@ wrote it inline before its row table, and ``closed_form_inequalities`` the
 closed-form hybrid region with its sum cap written out.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -34,7 +37,7 @@ import numpy as np
 from macwtfb import ValidationError
 from macwtfb.channels import InputFactorization
 from macwtfb.discrete import _DECAY_PATIENCE, _INITIAL_STEP, _STEP_DECAY, SearchConfig
-from macwtfb.fm import LinearSystem, Row, as_rational
+from macwtfb.fm import as_rational
 from macwtfb.gaussian import GaussianMacWt
 from macwtfb.power import _rate_of_total, saturation_threshold
 from macwtfb.regions import _hull_ccw, _recession_direction
@@ -205,10 +208,28 @@ def sequential_ascend(
 # --- Fraction Fourier-Motzkin, before integer rows ----------------------------------
 
 
-def fraction_system(variable_names: Sequence[str], inequalities) -> LinearSystem:
-    """The constructor's row normalization on ``Fraction`` bounds (inputs
-    assumed valid): ``>=`` rows negated, each row made primitive, then
-    merged."""
+# A normalized inequality: primitive integer coefficients and a rational
+# upper bound, meaning coeffs . x <= bound.
+Row = tuple[tuple[int, ...], Fraction]
+
+
+@dataclasses.dataclass(frozen=True)
+class FractionSystem:
+    """Variable names and normalized rows, sorted, so two systems with the
+    same feasible description compare equal."""
+
+    variable_names: tuple[str, ...]
+    rows: tuple[Row, ...]
+
+    @property
+    def is_infeasible(self) -> bool:
+        """True when normalization surfaced a contradictory constant row."""
+        return any(not any(c) and b < 0 for c, b in self.rows)
+
+
+def fraction_system(variable_names: Sequence[str], inequalities) -> FractionSystem:
+    """The row normalization on ``Fraction`` bounds (inputs assumed valid):
+    ``>=`` rows negated, each row made primitive, then merged."""
     names = tuple(variable_names)
     rows = []
     for coeffs, relation, bound in inequalities:
@@ -218,7 +239,19 @@ def fraction_system(variable_names: Sequence[str], inequalities) -> LinearSystem
             vec = tuple(-c for c in vec)
             b = -b
         rows.append(_canonical_row(vec, b))
-    return LinearSystem._from_rows(names, _normalize(len(names), rows))
+    return FractionSystem(names, _normalize(len(names), rows))
+
+
+def fraction_view(denominator: int, names: Sequence[str], rows) -> FractionSystem:
+    """Normalized integer rows over ``denominator`` as a ``FractionSystem``:
+    each coefficient vector divided by its content, and the bound with it."""
+    view = []
+    for coeffs, beta in rows:
+        content = math.gcd(*coeffs)
+        if not content:  # the marker row 0 <= -1, alone in its system
+            return FractionSystem(tuple(names), ((coeffs, Fraction(-1)),))
+        view.append((tuple(c // content for c in coeffs), Fraction(beta, content * denominator)))
+    return FractionSystem(tuple(names), tuple(view))
 
 
 RATE_SPLIT_VARIABLES = ("R1", "R2", "R10", "R11", "R1s", "R20", "R21", "R2s")
@@ -258,7 +291,7 @@ def closed_form_inequalities(a, b, c, d, e) -> list:
     ]
 
 
-def fraction_eliminate(system: LinearSystem, drop_variable: str) -> LinearSystem:
+def fraction_eliminate(system: FractionSystem, drop_variable: str) -> FractionSystem:
     """One Fourier-Motzkin step: project out ``drop_variable``.
 
     Rows not involving the variable pass through; every upper bound on it
@@ -289,10 +322,10 @@ def fraction_eliminate(system: LinearSystem, drop_variable: str) -> LinearSystem
         for wl, rl, bl in lower:
             combo = tuple(wl * u + wu * l for u, l in zip(ru, rl))
             rows.append(_canonical_row(combo, wl * bu + wu * bl))
-    return LinearSystem._from_rows(names, _normalize(len(names), rows))
+    return FractionSystem(names, _normalize(len(names), rows))
 
 
-def fraction_project_to(system: LinearSystem, keep_variables: Iterable[str]) -> LinearSystem:
+def fraction_project_to(system: FractionSystem, keep_variables: Iterable[str]) -> FractionSystem:
     """Eliminate every variable outside ``keep_variables``.
 
     At each step the variable with the fewest upper-times-lower bound
@@ -320,7 +353,7 @@ def fraction_project_to(system: LinearSystem, keep_variables: Iterable[str]) -> 
         current = fraction_eliminate(current, min(drops, key=pair_count))
 
 
-def fraction_exact_vertices(system: LinearSystem) -> tuple[tuple[Fraction, Fraction], ...]:
+def fraction_exact_vertices(system: FractionSystem) -> tuple[tuple[Fraction, Fraction], ...]:
     """Vertices of a bounded two-variable system, in exact rationals.
 
     Candidate points are all pairwise boundary-line intersections; the

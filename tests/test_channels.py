@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macwtfb import ValidationError
 from macwtfb.channels import (
@@ -115,6 +117,31 @@ def test_xor_kernel_quantities():
     assert q.d == pytest.approx(0.0, abs=1e-12)
     assert q.e == pytest.approx(0.0, abs=1e-12)
     assert q.h_y_given_z == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from(("noisy", "copy", "blind")),
+    st.integers(0, 2**32 - 1),
+)
+def test_degraded_kernel_splits_h_y_given_z(u, x1, x2, y, eavesdropper, seed):
+    # Z drawn from Y by a channel: X1 X2 -> Y -> Z is Markov, so
+    # H(Y|X1,X2,Z) = H(Y|X1,X2) + H(Z|Y) - H(Z|X1,X2) and
+    # c - d + e = H(Y) + H(Z|Y) - H(Z) = H(Y|Z) for every input law.
+    rng = np.random.default_rng(seed)
+    y_given_x = rng.dirichlet(np.ones(y), size=(x1, x2))
+    z_given_y = {
+        "noisy": rng.dirichlet(np.ones(3), size=y),
+        "copy": np.eye(y),
+        "blind": np.ones((y, 1)),
+    }[eavesdropper]
+    kernel = MacWiretapKernel(np.einsum("aby,yz->abyz", y_given_x, z_given_y))
+    q = info_quantities(kernel, random_factorization(u, x1, x2, seed))
+    assert abs(q.c - q.d + q.e - q.h_y_given_z) <= 1e-12
 
 
 def test_assemble_joint_matches_hand_product():

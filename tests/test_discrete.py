@@ -171,6 +171,17 @@ def test_outer_matches_brute_force_on_random_kernels():
         assert sato_outer_for_joint(k, q) == pytest.approx(h_yz - h_z, abs=1e-10)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_outer_objective_is_midpoint_concave_in_the_joint_input(n1, n2, ny, nz, seed):
+    # P(y, z) is linear in P(x1, x2) and H(Y|Z) is concave in P(y, z).
+    rng = np.random.default_rng(seed)
+    k = random_kernel(rng, n1, n2, ny, nz)
+    p, q = rng.dirichlet(np.ones(n1 * n2), size=2).reshape(2, n1, n2)
+    midpoint = sato_outer_for_joint(k, (p + q) / 2)
+    assert midpoint >= (sato_outer_for_joint(k, p) + sato_outer_for_joint(k, q)) / 2 - 1e-12
+
+
 def test_outer_rejects_mismatched_input():
     with pytest.raises(ValidationError):
         sato_outer_for_joint(xor_blind_kernel(), np.full((3, 2), 1.0 / 6.0))

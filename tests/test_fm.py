@@ -1,6 +1,7 @@
 """Exact elimination: worked projections, soundness by back-substitution,
 and the rate-splitting system's agreement with the closed form."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,15 +13,12 @@ from macwtfb.channels import InfoQuantities
 from macwtfb.discrete import hybrid_region_for_input
 from macwtfb.fm import (
     _PROJECTED_RATE_SPLIT_ROWS,
-    LinearSystem,
+    RATE_SPLIT_VARIABLES,
+    _closed_form_rows,
     _evaluate,
     _information_constants,
-    _project_rows,
-    _rate_split_rows,
     as_rational,
-    eliminate,
     exact_vertices,
-    hybrid_closed_form_system,
     project_to,
     rate_splitting_system,
     verify_hybrid_region_projection,
@@ -28,16 +26,27 @@ from macwtfb.fm import (
 from macwtfb.info import ValidationError
 from macwtfb.regions import region_from_halfspaces
 from oracles import (
-    RATE_SPLIT_VARIABLES,
     closed_form_inequalities,
     fraction_eliminate,
     fraction_exact_vertices,
     fraction_project_to,
     fraction_system,
+    fraction_view,
     rate_splitting_inequalities,
 )
 
 rationals = st.fractions(min_value=0, max_value=4, max_denominator=64)
+
+
+def integer_rows(inequalities):
+    """``(coefficients, relation, bound)`` triples as a denominator and
+    integer ``<=`` rows over it; a ``>=`` row is negated."""
+    rows = [
+        (tuple(c), as_rational(b)) if relation == "<=" else (tuple(-x for x in c), -as_rational(b))
+        for c, relation, b in inequalities
+    ]
+    denominator = math.lcm(*(b.denominator for _, b in rows))
+    return denominator, [(c, b.numerator * (denominator // b.denominator)) for c, b in rows]
 
 
 # --- rationalization boundary --------------------------------------------------
@@ -63,106 +72,78 @@ def test_as_rational_rejects_non_finite_and_foreign_types():
         verify_hybrid_region_projection(True, 1, 1, 0, 0)
 
 
-# --- single elimination steps ---------------------------------------------------
+# --- single elimination steps and the normal form --------------------------------
 
 def test_transitive_chain():
-    s = LinearSystem(("x", "y"), [((1, 0), "<=", 1), ((-1, 1), "<=", 0)])
-    r = eliminate(s, "x")
-    assert r.variable_names == ("y",)
-    assert r.rows == (((1,), F(1)),)
+    assert project_to(("x", "y"), [((1, 0), 1), ((-1, 1), 0)], ("y",)) == (("y",), [((1,), 1)])
 
 
 def test_contradiction_surfaces_as_constant_row():
-    s = LinearSystem(("x",), [((1,), ">=", 2), ((1,), "<=", 1)])
-    r = eliminate(s, "x")
-    assert r.is_infeasible
-    assert r.rows == (((), F(-1)),)
-
-
-def test_eliminate_unknown_variable():
-    s = LinearSystem(("x",), [((1,), "<=", 1)])
-    with pytest.raises(ValidationError):
-        eliminate(s, "q")
+    # x >= 2 and x <= 1: eliminating x leaves the marker row 0 <= -1 alone.
+    names, rows = project_to(("x", "y"), [((-1, 0), -2), ((1, 0), 1), ((0, 1), 3)], ("y",))
+    assert rows == [((0,), -1)]
+    assert fraction_view(1, names, rows).is_infeasible
 
 
 def test_duplicate_rows_keep_tightest_bound():
-    s = LinearSystem(("x", "y"), [((2, 0), "<=", 4), ((1, 0), "<=", 5), ((4, 0), "<=", 2)])
-    assert s.rows == (((1, 0), F(1, 2)),)
+    # 4x <= 2 is the tightest of x <= 2, x <= 5 and x <= 1/2.
+    names, rows = project_to(("x", "y"), [((2, 0), 4), ((1, 0), 5), ((4, 0), 2)], ("x", "y"))
+    assert rows == [((4, 0), 2)]
+    assert fraction_view(1, names, rows).rows == (((1, 0), F(1, 2)),)
 
 
 def test_satisfied_constant_rows_are_dropped():
-    s = LinearSystem(("x",), [((0,), "<=", 3), ((1,), "<=", 1)])
-    assert s.rows == (((1,), F(1)),)
-
-
-@pytest.mark.parametrize(
-    "coefficient", [0.5, F(1, 2), "1", True], ids=["float", "fraction", "str", "bool"]
-)
-def test_non_integer_coefficient_names_the_row(coefficient):
-    with pytest.raises(ValidationError, match="row 1 has a non-integer coefficient"):
-        LinearSystem(("x", "y"), [((1, 0), "<=", 1), ((coefficient, 1), "<=", 1)])
-
-
-def test_system_is_immutable():
-    s = LinearSystem(("x",), [((1,), "<=", 1)])
-    with pytest.raises(AttributeError):
-        s.rows = ()
-    assert s.rows == (((1,), F(1)),)
+    assert project_to(("x",), [((0,), 3), ((1,), 1)], ("x",)) == (("x",), [((1,), 1)])
 
 
 # --- projection ------------------------------------------------------------------
 
 def test_keep_all_is_identity():
-    s = LinearSystem(("x", "y"), [((1, 2), "<=", 3), ((0, 1), ">=", 0)])
-    assert project_to(s, ("x", "y")) == s
-    assert hash(project_to(s, ("x", "y"))) == hash(s)
+    rows = [((0, -1), 0), ((1, 2), 3)]  # already in normal form
+    assert project_to(("x", "y"), rows, ("x", "y")) == (("x", "y"), rows)
 
 
 def test_simplex_shadow():
-    s = LinearSystem(
-        ("x", "y", "z"),
-        [
-            ((1, 1, 1), "<=", 1),
-            ((1, 0, 0), ">=", 0),
-            ((0, 1, 0), ">=", 0),
-            ((0, 0, 1), ">=", 0),
-        ],
-    )
-    shadow = project_to(s, ("x",))
-    assert shadow.rows == (((-1,), F(0)), ((1,), F(1)))
+    rows = [((1, 1, 1), 1), ((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0)]
+    assert project_to(("x", "y", "z"), rows, ("x",)) == (("x",), [((-1,), 0), ((1,), 1)])
 
 
 def test_projection_keep_set_validation():
-    s = LinearSystem(("x", "y"), [((1, 1), "<=", 1)])
-    with pytest.raises(ValidationError):
-        project_to(s, ())
-    with pytest.raises(ValidationError):
-        project_to(s, ("x", "nope"))
+    with pytest.raises(ValidationError, match="must keep at least one variable"):
+        project_to(("x", "y"), [((1, 1), 1)], ())
+    with pytest.raises(ValidationError, match="unknown variables in keep set: \\['nope'\\]"):
+        project_to(("x", "y"), [((1, 1), 1)], ("x", "nope"))
 
 
 def _random_box_system(rng):
+    """Names and integer rows over denominator 1: the box [-2, 2]^4 and five
+    random rows."""
     names = ("w", "x", "y", "z")
     rows = []
     for k in range(4):
         unit = [0, 0, 0, 0]
         unit[k] = 1
-        rows.append((tuple(unit), "<=", 2))
-        rows.append((tuple(unit), ">=", -2))
+        rows.append((tuple(unit), 2))
+        rows.append((tuple(-u for u in unit), 2))
     for _ in range(5):
         coeffs = tuple(rng.randint(-3, 3) for _ in range(4))
-        rows.append((coeffs, "<=", rng.randint(1, 4)))
-    return LinearSystem(names, rows)
+        rows.append((coeffs, rng.randint(1, 4)))
+    return names, rows
 
 
-def _feasible_interval(system, var, assignment):
+def _eliminate(names, rows, drop):
+    return project_to(names, rows, [name for name in names if name != drop])
+
+
+def _feasible_interval(names, rows, var, assignment):
     """Exact [lo, hi] for var given values of all other variables."""
-    idx = system.variable_names.index(var)
+    idx = names.index(var)
     lo, hi = None, None
-    for coeffs, bound in system.rows:
+    for coeffs, bound in rows:
         weight = coeffs[idx]
         rest = sum(
             c * assignment[name]
-            for k, (c, name) in enumerate(zip(coeffs, system.variable_names))
+            for k, (c, name) in enumerate(zip(coeffs, names))
             if k != idx
         )
         if weight > 0:
@@ -174,10 +155,10 @@ def _feasible_interval(system, var, assignment):
     return lo, hi
 
 
-def _satisfies(system, assignment):
+def _satisfies(names, rows, assignment):
     return all(
-        sum(c * assignment[n] for c, n in zip(coeffs, system.variable_names)) <= bound
-        for coeffs, bound in system.rows
+        sum(c * assignment[n] for c, n in zip(coeffs, names)) <= bound
+        for coeffs, bound in rows
     )
 
 
@@ -187,39 +168,40 @@ def test_projection_soundness_by_back_substitution():
     rng = random.Random(7)
     for _ in range(10):
         original = _random_box_system(rng)
-        mid = eliminate(original, "y")
-        final = eliminate(mid, "z")
-        verts = exact_vertices(final)
+        mid = _eliminate(*original, "y")
+        final = _eliminate(*mid, "z")
+        assert final[0] == ("w", "x")
+        verts = exact_vertices(1, final[1])
         assert verts, "box-bounded system should be nonempty"
         probes = list(verts)
         for p, q in zip(verts, verts[1:]):
             probes.append(((p[0] + q[0]) / 2, (p[1] + q[1]) / 2))
         for w, x in probes:
             assignment = {"w": w, "x": x}
-            lo, hi = _feasible_interval(mid, "z", assignment)
+            lo, hi = _feasible_interval(*mid, "z", assignment)
             assert lo is not None and hi is not None and lo <= hi
             assignment["z"] = (lo + hi) / 2
-            lo, hi = _feasible_interval(original, "y", assignment)
+            lo, hi = _feasible_interval(*original, "y", assignment)
             assert lo is not None and hi is not None and lo <= hi
             assignment["y"] = (lo + hi) / 2
-            assert _satisfies(original, assignment)
+            assert _satisfies(*original, assignment)
 
 
 def test_projection_completeness_on_sampled_points():
     # The shadow of every original solution satisfies the projection.
     rng = random.Random(11)
     for _ in range(6):
-        original = _random_box_system(rng)
-        projected = project_to(original, ("w", "x"))
+        names, rows = _random_box_system(rng)
+        projected = project_to(names, rows, ("w", "x"))
         hits = 0
         for _ in range(60):
             point = {
                 name: F(rng.randint(-16, 16), 8)
-                for name in original.variable_names
+                for name in names
             }
-            if _satisfies(original, point):
+            if _satisfies(names, rows, point):
                 hits += 1
-                assert _satisfies(projected, {"w": point["w"], "x": point["x"]})
+                assert _satisfies(*projected, {"w": point["w"], "x": point["x"]})
         assert hits > 0
 
 
@@ -229,26 +211,33 @@ def test_elimination_order_does_not_change_the_shadow():
         original = _random_box_system(rng)
         forward = original
         for name in ("y", "z"):
-            forward = eliminate(forward, name)
+            forward = _eliminate(*forward, name)
         backward = original
         for name in ("z", "y"):
-            backward = eliminate(backward, name)
-        assert exact_vertices(forward) == exact_vertices(backward)
+            backward = _eliminate(*backward, name)
+        assert forward[0] == backward[0] == ("w", "x")
+        assert exact_vertices(1, forward[1]) == exact_vertices(1, backward[1])
 
 
 # --- the rate-splitting system ----------------------------------------------------
 
 def test_split_system_shape():
-    s = rate_splitting_system(1, 1, 2, 1, 1)
-    assert s.variable_names == ("R1", "R2", "R10", "R11", "R1s", "R20", "R21", "R2s")
-    assert len(s.rows) == 15
+    denominator, rows = rate_splitting_system(1, 1, 2, 1, 1)
+    assert RATE_SPLIT_VARIABLES == ("R1", "R2", "R10", "R11", "R1s", "R20", "R21", "R2s")
+    assert denominator == 1
+    assert len(rows) == 15
+    assert all(len(coeffs) == len(RATE_SPLIT_VARIABLES) for coeffs, _ in rows)
+    # The bounds a, b, c, d and e - d over the constants' common denominator.
+    denominator, rows = rate_splitting_system(F(1, 2), F(1, 3), 1, F(1, 4), 0)
+    assert denominator == 12
+    assert [beta for _, beta in rows[:5]] == [6, 4, 12, 3, -3]
 
 
 def test_negative_constants_rejected():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="nonnegative"):
         rate_splitting_system(1, 1, 1, -F(1, 2), 0)
-    with pytest.raises(ValidationError):
-        hybrid_closed_form_system(-1, 1, 1, 0, 0)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        verify_hybrid_region_projection(-1, 1, 1, 0, 0)
 
 
 def test_all_zero_constants_give_origin():
@@ -317,9 +306,12 @@ def test_integer_split_rows_match_the_fraction_oracle(a, b, c, d, e):
     # The split system from the row table against its inequality list, and
     # both vertex sets of the check against the Fraction elimination.
     split = fraction_system(RATE_SPLIT_VARIABLES, rate_splitting_inequalities(a, b, c, d, e))
-    assert rate_splitting_system(a, b, c, d, e) == split
+    denominator, rows = rate_splitting_system(a, b, c, d, e)
+    assert fraction_view(denominator, *project_to(RATE_SPLIT_VARIABLES, rows, RATE_SPLIT_VARIABLES)) == split
     closed = fraction_system(("R1", "R2"), closed_form_inequalities(a, b, c, d, e))
-    assert hybrid_closed_form_system(a, b, c, d, e) == closed
+    _, consts = _information_constants(a, b, c, d, e)
+    closed_rows = project_to(("R1", "R2"), _closed_form_rows(*consts), ("R1", "R2"))
+    assert fraction_view(denominator, *closed_rows) == closed
     chk = verify_hybrid_region_projection(a, b, c, d, e)
     assert chk.projected_vertices == fraction_exact_vertices(fraction_project_to(split, ("R1", "R2")))
     assert chk.closed_form_vertices == fraction_exact_vertices(closed)
@@ -336,15 +328,14 @@ def test_projected_table_matches_per_instance_elimination(a, b, c, d, e):
     # The table eliminated once with the constants as columns, evaluated on
     # one instance, is the instance's own elimination row for row.
     _, consts = _information_constants(a, b, c, d, e)
-    names, rows = _project_rows(RATE_SPLIT_VARIABLES, _rate_split_rows(consts), {"R1", "R2"})
+    names, rows = project_to(RATE_SPLIT_VARIABLES, rate_splitting_system(a, b, c, d, e)[1], {"R1", "R2"})
     assert names == ("R1", "R2")
-    assert _evaluate(_PROJECTED_RATE_SPLIT_ROWS, consts) == rows
+    assert project_to(names, _evaluate(_PROJECTED_RATE_SPLIT_ROWS, consts), names)[1] == rows
 
 
 def test_exact_vertices_requires_two_variables():
-    s = LinearSystem(("x",), [((1,), "<=", 1)])
-    with pytest.raises(ValidationError):
-        exact_vertices(s)
+    with pytest.raises(ValidationError, match="needs exactly two variables, got 1"):
+        exact_vertices(1, [((1,), 1)])
 
 
 @pytest.mark.parametrize(
@@ -356,16 +347,22 @@ def test_exact_vertices_requires_two_variables():
     ids=["half_plane", "strip"],
 )
 def test_exact_vertices_rejects_unbounded_systems(rows, direction):
-    s = LinearSystem(("x", "y"), rows)
     with pytest.raises(ValidationError) as info:
-        exact_vertices(s)
+        exact_vertices(*integer_rows(rows))
     assert str(info.value) == "system is unbounded along direction " + direction
 
 
 def test_exact_vertices_of_infeasible_unbounded_system_is_empty():
     # y is free, but x <= -1 and x >= 0 leave no point at all.
-    s = LinearSystem(("x", "y"), [((1, 0), "<=", -1), ((1, 0), ">=", 0)])
-    assert exact_vertices(s) == ()
+    assert exact_vertices(1, [((1, 0), -1), ((-1, 0), 0)]) == ()
+
+
+def test_exact_vertices_names_a_primitive_direction():
+    # The tightest row of one direction keeps its coefficients (-2x <= 0),
+    # and the strip 0 <= x <= 3 is unbounded along its line; the direction
+    # named is primitive all the same.
+    with pytest.raises(ValidationError, match=r"direction \(0, -1\)$"):
+        exact_vertices(1, [((-2, 0), 0), ((-1, 0), 1), ((1, 0), 3)])
 
 
 small_rows = st.lists(
@@ -379,8 +376,7 @@ def test_exact_vertices_agree_with_float_region(rows, cap1, cap2, cap_bound):
     # Nonnegative bounds keep the origin feasible; the positive cap row and
     # the quadrant keep the polygon bounded.
     rows = rows + [(cap1, cap2, cap_bound), (-1, 0, 0), (0, -1, 0)]
-    system = LinearSystem(("R1", "R2"), [((c1, c2), "<=", b) for c1, c2, b in rows])
-    exact = [(float(x), float(y)) for x, y in exact_vertices(system)]
+    exact = [(float(x), float(y)) for x, y in exact_vertices(1, [((c1, c2), b) for c1, c2, b in rows])]
     floats = region_from_halfspaces(rows).vertices
     assert len(exact) == len(floats)
     for (ex, ey), (fx, fy) in zip(exact, floats):
@@ -402,8 +398,8 @@ def test_float_and_exact_paths_agree_on_each_verdict(rows):
     # Vertex order is not compared: two vertices with the same exact R1 can
     # round to different floats, which moves the float polygon's start.
     quadrant = [(-1, 0, 0), (0, -1, 0)]
-    system = LinearSystem(("R1", "R2"), [((c1, c2), "<=", b) for c1, c2, b in rows + quadrant])
-    exact = _vertices_or_unbounded(lambda: exact_vertices(system))
+    system = [((c1, c2), b) for c1, c2, b in rows + quadrant]
+    exact = _vertices_or_unbounded(lambda: exact_vertices(1, system))
     floats = _vertices_or_unbounded(lambda: region_from_halfspaces(rows))
     if exact == "unbounded" or floats == "unbounded":
         assert exact == floats
@@ -419,10 +415,11 @@ sixty_fourths = st.integers(0, 256).map(lambda k: k / 64)
 @settings(max_examples=200, deadline=None)
 @given(sixty_fourths, sixty_fourths, sixty_fourths, sixty_fourths, sixty_fourths)
 def test_closed_form_system_matches_searched_hybrid_region(a, b, c, d, e):
-    # The system fm-verify checks and the region the discrete search writes
+    # The rows fm-verify checks and the region the discrete search writes
     # come from one hybrid sum formula; an empty exact region is the
     # degenerate float region.
-    exact = exact_vertices(hybrid_closed_form_system(a, b, c, d, e))
+    denominator, consts = _information_constants(a, b, c, d, e)
+    exact = exact_vertices(denominator, _closed_form_rows(*consts))
     region = hybrid_region_for_input(InfoQuantities(a, b, c, d, e, 0.0))
     if not exact:
         assert region.is_degenerate
@@ -472,13 +469,16 @@ def test_integer_rows_match_the_fraction_oracle(case):
     # system, an unbounded one, an infeasible unbounded one and a false
     # constant row.
     names, inequalities = case
-    system = LinearSystem(names, inequalities)
-    assert system == fraction_system(names, inequalities)
+    denominator, rows = integer_rows(inequalities)
+    system = fraction_system(names, inequalities)
+    assert fraction_view(denominator, *project_to(names, rows, names)) == system
     for name in names:
-        assert eliminate(system, name) == fraction_eliminate(system, name)
+        eliminated = project_to(names, rows, [n for n in names if n != name])
+        assert fraction_view(denominator, *eliminated) == fraction_eliminate(system, name)
     for keep in (names[:1], names[:2], names[-2:]):
-        projected = project_to(system, keep)
-        assert projected == fraction_project_to(system, keep)
+        projected = project_to(names, rows, keep)
+        oracle = fraction_project_to(system, keep)
+        assert fraction_view(denominator, *projected) == oracle
         if len(keep) == 2:
-            exact = _outcome(lambda: exact_vertices(projected))
-            assert exact == _outcome(lambda: fraction_exact_vertices(projected))
+            exact = _outcome(lambda: exact_vertices(denominator, projected[1]))
+            assert exact == _outcome(lambda: fraction_exact_vertices(oracle))
