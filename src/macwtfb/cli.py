@@ -50,6 +50,12 @@ the handlers that need it.  ``region discrete`` imports ``channels`` and
 exact integer arithmetic and load neither numpy nor ``info`` and
 ``channels``, which saves most of a short command's start-up.
 ``fm-verify`` alone imports ``fm``, ``fractions`` and ``random``.
+The same rule keeps ``inspect`` out: the numpy-free modules define their
+value types as immutable named tuples, because the standard module that
+builds data classes imports ``inspect``, while the array modules keep
+their data classes, as numpy imports ``inspect`` anyway.  ``json`` is
+imported only by :func:`_json_text`, for ``--format json``, and by
+``channels`` to read a channel file.
 ``power`` keeps ``np.log2`` and ``np.linspace``: ``math.log2`` differs
 from ``np.log2`` in the last bit on a few inputs in a thousand, and the
 pinned sweep files hold numpy's bits.
@@ -59,7 +65,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import math
 import os
 import sys
@@ -285,6 +290,8 @@ def _fmt(value: float) -> str:
 
 
 def _json_text(doc) -> str:
+    import json
+
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

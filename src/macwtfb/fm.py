@@ -38,11 +38,11 @@ system to the single marker row ``0 <= -1``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+import numbers
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import ValidationError
 from .regions import _hull_ccw, _hybrid_sum, _recession_direction
@@ -68,16 +68,17 @@ TableRow = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def as_rational(value) -> Fraction:
-    """Convert an int, Fraction or float to an exact rational; a bool is
-    not a number here, although Python counts it as an int.
+    """Convert an integer, Fraction or float to an exact rational.  Any
+    ``numbers.Integral`` is an integer (numpy's ``int64`` too), except a
+    bool, which is not a number here although Python counts it as an int.
 
     Floats are rounded to the nearest fraction with denominator at most
     2**32, so downstream arithmetic is exact and reproducible.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return Fraction(int(value))
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValidationError("cannot rationalize non-finite value %r" % value)
@@ -203,10 +204,9 @@ def exact_vertices(denominator: int, rows: Iterable[IntRow]) -> tuple[tuple[Frac
     return tuple((Fraction(x, scale * denominator), Fraction(y, scale * denominator)) for x, y in hull)
 
 
-@dataclasses.dataclass(frozen=True)
-class ProjectionCheck:
+class ProjectionCheck(NamedTuple):
     """Outcome of comparing the projected rate-splitting system with the
-    closed-form hybrid region.
+    closed-form hybrid region, an immutable named tuple.
 
     ``match`` is an exact rational verdict on the two vertex tuples; an
     empty (infeasible) region has the empty tuple.

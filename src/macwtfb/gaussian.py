@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ValidationError
 from .regions import RateRegion, capped_region, region_from_halfspaces
@@ -28,32 +28,41 @@ from .regions import RateRegion, capped_region, region_from_halfspaces
 TWO_PI_E = 2.0 * math.pi * math.e
 
 
-@dataclass(frozen=True)
-class GaussianMacWt:
-    """Gaussian model Y = X1 + X2 + N1, Z = X1 + X2 + N2.
-
-    p1, p2 are average power constraints (nonnegative); sigma1_sq and
-    sigma2_sq the main and eavesdropper noise variances (positive).
-    """
-
+class _GaussianFields(NamedTuple):
     p1: float
     p2: float
     sigma1_sq: float
     sigma2_sq: float
 
-    def __post_init__(self):
-        for name in ("p1", "p2"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ValidationError(f"{name} must be finite and nonnegative, got {v!r}")
-            object.__setattr__(self, name, v)
-        for name in ("sigma1_sq", "sigma2_sq"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
+
+class GaussianMacWt(_GaussianFields):
+    """Gaussian model Y = X1 + X2 + N1, Z = X1 + X2 + N2, an immutable
+    named tuple whose fields are coerced to floats.
+
+    p1, p2 are average power constraints (nonnegative); sigma1_sq and
+    sigma2_sq the main and eavesdropper noise variances (positive).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p1, p2, sigma1_sq, sigma2_sq):
+        values = []
+        for name, value in zip(cls._fields, (p1, p2, sigma1_sq, sigma2_sq)):
+            v = float(value)
+            if name in ("p1", "p2"):
+                if not math.isfinite(v) or v < 0.0:
+                    raise ValidationError(f"{name} must be finite and nonnegative, got {v!r}")
+            elif not math.isfinite(v) or v <= 0.0:
                 raise ValidationError(f"{name} must be finite and positive, got {v!r}")
-            object.__setattr__(self, name, v)
-        if not math.isfinite((self.p1 + self.p2) / min(self.sigma1_sq, self.sigma2_sq)):
+            values.append(v)
+        g = super().__new__(cls, *values)
+        if not math.isfinite((g.p1 + g.p2) / min(g.sigma1_sq, g.sigma2_sq)):
             raise ValidationError("(p1 + p2) / min(sigma1_sq, sigma2_sq) overflows to infinity")
+        return g
+
+    @classmethod
+    def _make(cls, iterable):  # through __new__, so _replace validates too
+        return cls(*iterable)
 
 
 def gaussian_diff_entropy(variance: float) -> float:

@@ -34,8 +34,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import ValidationError
 
@@ -44,28 +43,38 @@ TOL = 1e-9
 _DET_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Halfspace:
-    """The constraint coeff_r1 * R1 + coeff_r2 * R2 <= bound."""
-
+class _HalfspaceFields(NamedTuple):
     coeff_r1: float
     coeff_r2: float
     bound: float
 
-    def __post_init__(self):
-        for name in ("coeff_r1", "coeff_r2", "bound"):
-            v = float(getattr(self, name))
+
+class Halfspace(_HalfspaceFields):
+    """The constraint coeff_r1 * R1 + coeff_r2 * R2 <= bound, an immutable
+    named tuple whose entries are coerced to finite floats."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeff_r1, coeff_r2, bound):
+        values = []
+        for name, value in zip(cls._fields, (coeff_r1, coeff_r2, bound)):
+            v = float(value)
             if not math.isfinite(v):
                 raise ValidationError(f"halfspace {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+            values.append(v)
+        return super().__new__(cls, *values)
+
+    @classmethod
+    def _make(cls, iterable):  # through __new__, so _replace validates too
+        return cls(*iterable)
 
     def value_at(self, point) -> float:
         return self.coeff_r1 * point[0] + self.coeff_r2 * point[1]
 
 
-@dataclass(frozen=True)
-class RateRegion:
-    """Canonical bounded region in the nonnegative quadrant.
+class RateRegion(NamedTuple):
+    """Canonical bounded region in the nonnegative quadrant, an immutable
+    named tuple.
 
     vertices are counterclockwise, starting at the lexicographically smallest
     vertex; the quadrant constraints are implied and not stored. Construct

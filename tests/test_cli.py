@@ -5,7 +5,6 @@ the produced files can be asserted directly.  Determinism is checked at
 the byte level: two runs with identical flags must write identical files.
 """
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -406,7 +405,7 @@ def test_fm_verify_mismatch_keeps_the_file_and_reports_both_vertex_sets(tmp_path
     def flip_corner_e_zero(*consts):
         check = real(*consts)
         if consts == (1, 1, Fraction(3, 2), Fraction(1, 2), 0):
-            return dataclasses.replace(check, match=False, projected_vertices=((Fraction(1, 3), Fraction(0)),))
+            return check._replace(match=False, projected_vertices=((Fraction(1, 3), Fraction(0)),))
         return check
 
     monkeypatch.setattr(fm, "verify_hybrid_region_projection", flip_corner_e_zero)

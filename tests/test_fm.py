@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -65,11 +66,21 @@ def test_as_rational_rejects_non_finite_and_foreign_types():
         as_rational(float("inf"))
     with pytest.raises(ValidationError):
         as_rational("0.5")
-    for flag in (True, False):
+    for flag in (True, False, np.True_):
         with pytest.raises(ValidationError, match="got bool"):
             as_rational(flag)
     with pytest.raises(ValidationError, match="got bool"):
         verify_hybrid_region_projection(True, 1, 1, 0, 0)
+
+
+@pytest.mark.parametrize("consts", [(0, 0, 0, 0, 0), (1, 1, 2, 1, 0), (2, 3, 4, 1, 2), (5, 2, 6, 3, 7)])
+def test_numpy_integers_are_integers(consts):
+    # np.int64 is a numbers.Integral but no int; np.float64 is a float.
+    value = as_rational(np.int64(consts[2]))
+    assert value == F(consts[2]) and type(value.numerator) is int
+    check = verify_hybrid_region_projection(*consts)
+    assert verify_hybrid_region_projection(*map(np.int64, consts)) == check
+    assert verify_hybrid_region_projection(*map(np.float64, consts)) == check
 
 
 # --- single elimination steps and the normal form --------------------------------

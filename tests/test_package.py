@@ -1,6 +1,7 @@
 """The package root exports what the README's library example imports,
-the closed-form commands run without loading numpy, and only fm-verify
-loads the elimination module."""
+the closed-form commands run without loading numpy or ``dataclasses``,
+``json`` loads only when a command needs it, and only fm-verify loads the
+elimination module."""
 
 import ast
 import json
@@ -30,36 +31,39 @@ def test_readme_imports_are_exported_from_the_package_root():
     assert all(hasattr(macwtfb, name) for name in macwtfb.__all__)
 
 
-# Runs in a fresh interpreter, so that no test has loaded numpy before it;
-# prints one JSON record per step: [step or command, exit code, numpy loaded,
-# macwtfb.fm loaded, macwtfb.info loaded, macwtfb.channels loaded].
+# Runs in a fresh interpreter, so that no test has loaded a watched module
+# before it; prints one record per step with ``repr``, since json is watched:
+# [step or command, exit code, then whether each WATCHED module is loaded].
 _IMPORT_RULE_SCRIPT = """
-import json, sys
+import sys
 
-WATCHED = ("numpy", "macwtfb.fm", "macwtfb.info", "macwtfb.channels")
+WATCHED = ("numpy", "macwtfb.fm", "macwtfb.info", "macwtfb.channels", "dataclasses", "inspect", "json")
 
 def record(step, code=0):
-    print(json.dumps([step, code, *(name in sys.modules for name in WATCHED)]))
+    print(repr([step, code, *(name in sys.modules for name in WATCHED)]))
 
 out, channel = sys.argv[1], sys.argv[2]
 import macwtfb.cli as cli
 record("import macwtfb.cli")
-for argv in (
-    ["region", "gaussian", "--p1", "1", "--p2", "1", "--sigma1sq", "1", "--sigma2sq", "10",
-     "--bounds", "df,hybrid,ty,outer"],
-    ["figure", "--which", "2"],
-    ["fm-verify", "--samples", "3"],
-    ["region", "discrete", "--channel", channel, "--bounds", "df,outer",
-     "--umax", "1", "--restarts", "1", "--iterations", "2"],
-    ["powersweep", "--pmax", "10", "--steps", "3", "--sigma1sq", "5", "--sigma2sq", "2"],
+gaussian = ["region", "gaussian", "--p1", "1", "--p2", "1", "--sigma1sq", "1", "--sigma2sq", "10"]
+for step, argv in (
+    ("region gaussian", [*gaussian, "--bounds", "df,hybrid,ty,outer"]),
+    ("figure", ["figure", "--which", "2"]),
+    ("fm-verify", ["fm-verify", "--samples", "3"]),
+    ("region gaussian --format json", [*gaussian, "--bounds", "df", "--format", "json"]),
+    ("region discrete", ["region", "discrete", "--channel", channel, "--bounds", "df,outer",
+                         "--umax", "1", "--restarts", "1", "--iterations", "2"]),
+    ("powersweep", ["powersweep", "--pmax", "10", "--steps", "3", "--sigma1sq", "5", "--sigma2sq", "2"]),
 ):
-    record(argv[0], cli.main([*argv, "--output-dir", out]))
+    record(step, cli.main([*argv, "--output-dir", out]))
 from macwtfb import optimal_power, search_inner
 record("from macwtfb import search_inner, optimal_power")
 """
 
 
 def test_closed_form_commands_never_import_numpy(tmp_path):
+    """Nor ``dataclasses`` and with it ``inspect``; ``json`` loads only
+    for JSON output or a channel file."""
     channel = tmp_path / "channel.json"
     doc = {"x1_size": 1, "x2_size": 1, "y_size": 1, "z_size": 1, "transition": [[[[1.0]]]]}
     channel.write_text(json.dumps(doc), encoding="utf-8")
@@ -72,13 +76,15 @@ def test_closed_form_commands_never_import_numpy(tmp_path):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    records = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    records = [ast.literal_eval(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    # numpy, fm, info, channels, dataclasses, inspect, json
     assert records == [
-        ["import macwtfb.cli", 0, False, False, False, False],
-        ["region", 0, False, False, False, False],
-        ["figure", 0, False, False, False, False],
-        ["fm-verify", 0, False, True, False, False],
-        ["region", 0, True, True, True, True],
-        ["powersweep", 0, True, True, True, True],
-        ["from macwtfb import search_inner, optimal_power", 0, True, True, True, True],
+        ["import macwtfb.cli", 0, False, False, False, False, False, False, False],
+        ["region gaussian", 0, False, False, False, False, False, False, False],
+        ["figure", 0, False, False, False, False, False, False, False],
+        ["fm-verify", 0, False, True, False, False, False, False, False],
+        ["region gaussian --format json", 0, False, True, False, False, False, False, True],
+        ["region discrete", 0, True, True, True, True, True, True, True],
+        ["powersweep", 0, True, True, True, True, True, True, True],
+        ["from macwtfb import search_inner, optimal_power", 0, True, True, True, True, True, True, True],
     ], proc.stderr
