@@ -27,7 +27,15 @@ instance to instance.  So the elimination runs once per process, when the
 module is imported, on the system with the five constants as columns that
 are never eliminated, and its result is a table of projected rows.  The
 check puts the five constants over one ``D``, evaluates the projected rows
-and the closed form on them and enumerates both vertex sets.
+and the closed form on them and enumerates both vertex sets.  Only the
+bounds are computed per instance.  The table's rows are grouped by
+direction at import, so each instance evaluates each distinct weight vector
+once and keeps the tightest row of each direction, which is already the
+normal form below.  ``exact_vertices`` takes what depends on the
+coefficients alone (the recession test, and for each pair of lines their
+intersection and the feasibility test in terms of the bounds) from a
+bounded memo keyed on the coefficient tuple; the check's two systems have
+one coefficient tuple each on nearly every instance.
 
 ``project_to`` and ``exact_vertices`` bring their rows to one normal form:
 rows with the same direction (the primitive coefficient vector) are merged
@@ -38,6 +46,7 @@ system to the single marker row ``0 <= -1``.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -69,7 +78,8 @@ TableRow = tuple[tuple[int, ...], tuple[int, ...]]
 
 def as_rational(value) -> Fraction:
     """Convert an integer, Fraction or float to an exact rational.  Any
-    ``numbers.Integral`` is an integer (numpy's ``int64`` too), except a
+    ``numbers.Integral`` is an integer (numpy's ``int64`` too), and any
+    other ``numbers.Real`` a float (numpy's ``float32`` too), except a
     bool, which is not a number here although Python counts it as an int.
 
     Floats are rounded to the nearest fraction with denominator at most
@@ -77,9 +87,10 @@ def as_rational(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return Fraction(int(value))
-    if isinstance(value, float):
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return Fraction(int(value))
+        value = float(value)
         if not math.isfinite(value):
             raise ValidationError("cannot rationalize non-finite value %r" % value)
         return Fraction(value).limit_denominator(RATIONALIZE_DENOMINATOR)
@@ -169,7 +180,10 @@ def exact_vertices(denominator: int, rows: Iterable[IntRow]) -> tuple[tuple[Frac
     ``m > 0`` and the gcd divided out, and a point is feasible when
     ``c1*x + c2*y <= beta*m`` on every row.  The recession test and the hull
     are the ones ``regions.region_from_halfspaces`` uses on floats, run here
-    at tolerance 0; ``Fraction`` vertices are built for the hull only.
+    at tolerance 0; the recession test and the pairwise intersection formulas
+    read only the coefficients and are memoized on them, so a system whose
+    coefficients were seen before costs only its bounds.  ``Fraction``
+    vertices are built for the hull only.
     The result is ordered counterclockwise starting from the
     lexicographically smallest vertex, so equal regions give equal tuples.
     An infeasible system yields the empty tuple.  A feasible system that
@@ -183,25 +197,27 @@ def exact_vertices(denominator: int, rows: Iterable[IntRow]) -> tuple[tuple[Frac
             raise ValidationError("vertex enumeration needs exactly two variables, got %d" % len(coeffs))
     if rows and not any(rows[0][0]):  # the marker row 0 <= -1, alone in its system
         return ()
-    lines = [(c1, c2, beta) for (c1, c2), beta in rows]
-    direction = _recession_direction(lines, det_tol=0)
+    direction, pairs = _geometry(tuple((c1, c2) for (c1, c2), _ in rows))
     if direction is not None:
         if _eliminate_rows(_eliminate_rows(rows, 0), 0):
             return ()
         g = math.gcd(*direction)
         raise ValidationError("system is unbounded along direction %r" % ((direction[0] // g, direction[1] // g),))
+    bounds = [beta for _, beta in rows]
     points = set()
-    for i, (a1, a2, b1) in enumerate(lines):
-        for c1, c2, b2 in lines[i + 1 :]:
-            m = a1 * c2 - a2 * c1
-            if m:
-                x, y = b1 * c2 - b2 * a2, a1 * b2 - b1 * c1
-                g = math.gcd(x, y, m) if m > 0 else -math.gcd(x, y, m)
-                points.add((x // g, y // g, m // g))
-    points = [(x, y, m) for x, y, m in points if all(r1 * x + r2 * y <= r * m for r1, r2, r in lines)]
+    for i, j, xi, xj, yi, yj, m, others in pairs:
+        bi, bj = bounds[i], bounds[j]
+        for k, u, v in others:
+            if u * bi + v * bj > m * bounds[k]:
+                break
+        else:
+            x, y = xi * bi + xj * bj, yi * bi + yj * bj
+            g = math.gcd(x, y, m)
+            points.add((x // g, y // g, m // g))
     scale = math.lcm(*(m for _, _, m in points))
     hull = _hull_ccw([(x * scale // m, y * scale // m) for x, y, m in points], 0)
-    return tuple((Fraction(x, scale * denominator), Fraction(y, scale * denominator)) for x, y in hull)
+    den = scale * denominator
+    return tuple((_fraction(x, den), _fraction(y, den)) for x, y in hull)
 
 
 class ProjectionCheck(NamedTuple):
@@ -226,11 +242,13 @@ def verify_hybrid_region_projection(a, b, c, d, e) -> ProjectionCheck:
     once per process, at import, on the rate-splitting system with the five
     constants as columns that are never eliminated; each instance only
     evaluates the projected rows on the constants over their common
-    denominator.  Both systems are then integer rows over that denominator
-    through the vertex enumeration.
+    denominator, each distinct weight vector once, keeping the tightest row
+    of each direction.  Both systems are then integer rows over that
+    denominator, and ``exact_vertices`` enumerates each one's vertices from
+    its bounds and the memoized geometry of its coefficients.
     """
     denominator, consts = _information_constants(a, b, c, d, e)
-    projected_vertices = exact_vertices(denominator, _evaluate(_PROJECTED_RATE_SPLIT_ROWS, consts))
+    projected_vertices = exact_vertices(denominator, _evaluate_projected(consts))
     closed_vertices = exact_vertices(denominator, _closed_form_rows(*consts))
     return ProjectionCheck(
         match=projected_vertices == closed_vertices,
@@ -245,17 +263,40 @@ def verify_hybrid_region_projection(a, b, c, d, e) -> ProjectionCheck:
 def _information_constants(*values) -> tuple[int, list[int]]:
     """The constants rationalized and checked nonnegative, as integer
     numerators over their least common denominator."""
-    consts = [as_rational(v) for v in values]
-    if any(v < 0 for v in consts):
+    ratios = [as_rational(v).as_integer_ratio() for v in values]
+    denominator = math.lcm(*(d for _, d in ratios))
+    numerators = [n * (denominator // d) for n, d in ratios]
+    if min(numerators) < 0:
         raise ValidationError("information quantities must be nonnegative")
-    denominator = math.lcm(*(v.denominator for v in consts))
-    return denominator, [v.numerator * (denominator // v.denominator) for v in consts]
+    return denominator, numerators
 
 
 def _evaluate(table: Sequence[TableRow], consts: Sequence[int]) -> list[IntRow]:
     """The rows of a coefficient table for the constants over one
     denominator: each bound is ``weights . consts``."""
     return [(coeffs, sum(map(operator.mul, weights, consts))) for coeffs, weights in table]
+
+
+def _evaluate_projected(consts: Sequence[int]) -> list[IntRow]:
+    """The normal form of the projected rate-splitting rows for the
+    constants over one denominator, as ``_normalize`` would give it: each
+    weight vector is evaluated once, and of the rows of one direction the
+    one with the smaller bound over content is kept, compared by
+    cross-multiplying, the first of equal ones."""
+    values = [sum(map(operator.mul, weights, consts)) for weights in _PROJECTED_WEIGHTS]
+    rows = []
+    for group in _PROJECTED_DIRECTIONS:
+        coeffs, content, at = group[0]
+        if not content:  # the constant rows
+            if any(values[k] < 0 for _, _, k in group):
+                return [(coeffs, -1)]  # the marker row 0 <= -1
+            continue
+        beta = values[at]
+        for other, other_content, at in group[1:]:
+            if values[at] * content < beta * other_content:
+                coeffs, content, beta = other, other_content, values[at]
+        rows.append((coeffs, beta))
+    return rows
 
 
 def _closed_form_rows(a: int, b: int, c: int, d: int, e: int) -> list[IntRow]:
@@ -267,6 +308,39 @@ def _closed_form_rows(a: int, b: int, c: int, d: int, e: int) -> list[IntRow]:
     over the denominator too."""
     sum_bound = _hybrid_sum(a, b, c, d, e)
     return [((1, 0), a), ((0, 1), b), ((1, 1), sum_bound), ((-1, 0), 0), ((0, -1), 0)]
+
+
+# Vertex coordinates by numerator and denominator, memoized: the two systems
+# of a matching check share their vertices, which then are the same objects,
+# so the verdict's tuple comparison takes the identity shortcut instead of
+# Fraction.__eq__.
+_fraction = functools.lru_cache(maxsize=256)(Fraction)
+
+
+@functools.lru_cache(maxsize=64)
+def _geometry(coeffs: tuple[tuple[int, int], ...]) -> tuple:
+    """What ``exact_vertices`` derives from the coefficients alone, memoized
+    (the systems of the check have two coefficient tuples between them):
+    ``regions._recession_direction`` at tolerance 0, and each pair of lines
+    i < j that meet as ``(i, j, xi, xj, yi, yj, m, others)``.  With bounds
+    ``b``, they meet at ``(xi*bi + xj*bj, yi*bi + yj*bj, m)`` in homogeneous
+    coordinates, ``m > 0``, and that point is feasible when ``u*bi + v*bj <=
+    m*bk`` for each ``(k, u, v)`` of ``others``, one per other line; lines i
+    and j hold with equality there."""
+    direction = _recession_direction([(c1, c2, 0) for c1, c2 in coeffs], det_tol=0)
+    pairs = []
+    for i, (a1, a2) in enumerate(coeffs):
+        for j in range(i + 1, len(coeffs)):
+            c1, c2 = coeffs[j]
+            m = a1 * c2 - a2 * c1
+            if m:
+                s = 1 if m > 0 else -1
+                xi, xj, yi, yj = s * c2, -s * a2, -s * c1, s * a1
+                others = tuple(
+                    (k, r1 * xi + r2 * yi, r1 * xj + r2 * yj) for k, (r1, r2) in enumerate(coeffs) if k not in (i, j)
+                )
+                pairs.append((i, j, xi, xj, yi, yj, s * m, others))
+    return direction, tuple(pairs)
 
 
 def _eliminate_rows(rows: list[IntRow], idx: int) -> list[IntRow]:
@@ -322,5 +396,24 @@ def _project_rate_split_table() -> tuple[TableRow, ...]:
     return tuple((coeffs[:2], tuple(-w for w in coeffs[2:])) for coeffs, _ in projected)
 
 
-#: The projected rate-splitting rows, eliminated once per process at import.
+def _group_by_direction(table: Sequence[TableRow]) -> tuple[tuple, tuple]:
+    """The distinct weight vectors of a coefficient table, and its rows
+    grouped by direction and sorted as ``_normalize`` sorts them, each row
+    as its coefficients, content and the index of its weight vector, in
+    table order.  The constant rows, of content 0, are one group; those with
+    no negative weight hold for all nonnegative constants and are left out,
+    as ``_normalize`` drops them."""
+    table = [(coeffs, w) for coeffs, w in table if any(coeffs) or min(w) < 0]
+    weights = tuple(dict.fromkeys(w for _, w in table))
+    groups: dict[tuple[int, ...], list] = {}
+    for coeffs, w in table:
+        content = math.gcd(*coeffs)
+        direction = tuple(c // content for c in coeffs) if content else coeffs
+        groups.setdefault(direction, []).append((coeffs, content, weights.index(w)))
+    return weights, tuple(tuple(groups[direction]) for direction in sorted(groups))
+
+
+#: The projected rate-splitting rows, eliminated once per process at import,
+#: and their weight vectors and direction groups for ``_evaluate_projected``.
 _PROJECTED_RATE_SPLIT_ROWS = _project_rate_split_table()
+_PROJECTED_WEIGHTS, _PROJECTED_DIRECTIONS = _group_by_direction(_PROJECTED_RATE_SPLIT_ROWS)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from macwtfb import cli, fm
 from macwtfb.channels import InfoQuantities
 from macwtfb.discrete import hybrid_region_for_input
 from macwtfb.fm import (
@@ -17,6 +18,7 @@ from macwtfb.fm import (
     RATE_SPLIT_VARIABLES,
     _closed_form_rows,
     _evaluate,
+    _evaluate_projected,
     _information_constants,
     as_rational,
     exact_vertices,
@@ -57,6 +59,16 @@ def test_as_rational_conversions():
     assert as_rational(2) == F(2)
     assert as_rational(0.25) == F(1, 4)
     assert abs(as_rational(0.3) - F(3, 10)) < F(1, 2**32)
+
+
+@pytest.mark.parametrize("float_type", [np.float16, np.float32, np.float64])
+def test_as_rational_converts_numpy_floats(float_type):
+    # A numpy float is a numbers.Real; float16 and float32 are no float.
+    assert as_rational(float_type(0.5)) == F(1, 2)
+    assert as_rational(float_type(0.3)) == as_rational(float(float_type(0.3)))
+    with pytest.raises(ValidationError, match="non-finite value nan"):
+        as_rational(float_type("nan"))
+    assert verify_hybrid_region_projection(*map(float_type, (1, 1, 1.5, 0.5, 0.25))).match
 
 
 def test_as_rational_rejects_non_finite_and_foreign_types():
@@ -342,6 +354,37 @@ def test_projected_table_matches_per_instance_elimination(a, b, c, d, e):
     names, rows = project_to(RATE_SPLIT_VARIABLES, rate_splitting_system(a, b, c, d, e)[1], {"R1", "R2"})
     assert names == ("R1", "R2")
     assert project_to(names, _evaluate(_PROJECTED_RATE_SPLIT_ROWS, consts), names)[1] == rows
+    # The direction-grouped evaluation the check runs gives the same rows.
+    assert _evaluate_projected(consts) == rows
+
+
+def test_seeded_cases_match_the_fraction_oracle():
+    # Every seeded fm-verify instance matches, so a fault that moved both
+    # vertex sets alike would keep every output byte; compare each set with
+    # the Fraction elimination instead.
+    for name, consts in cli._fm_cases(300, 0):
+        chk = verify_hybrid_region_projection(*consts)
+        split = fraction_system(RATE_SPLIT_VARIABLES, rate_splitting_inequalities(*consts))
+        closed = fraction_system(("R1", "R2"), closed_form_inequalities(*consts))
+        assert chk.projected_vertices == fraction_exact_vertices(fraction_project_to(split, ("R1", "R2"))), name
+        assert chk.closed_form_vertices == fraction_exact_vertices(closed), name
+
+
+def test_check_enumerates_vertices_twice_through_the_module(monkeypatch):
+    # The check looks exact_vertices up on the module, once per system, so
+    # a wrapper installed there (as the benchmark's stage span is) sees
+    # every call.
+    calls = []
+
+    def counting(denominator, rows):
+        calls.append(denominator)
+        return exact_vertices(denominator, rows)
+
+    monkeypatch.setattr(fm, "exact_vertices", counting)
+    cases = cli._fm_cases(20, 0)
+    for _, consts in cases:
+        verify_hybrid_region_projection(*consts)
+    assert len(calls) == 2 * len(cases)
 
 
 def test_exact_vertices_requires_two_variables():
@@ -462,6 +505,27 @@ def _outcome(build):
         return build()
     except ValidationError as error:
         return "ValidationError: %s" % error
+
+
+TRIANGLE = [(1, 0), (0, 1), (-1, -1)]
+STRIP = [(1, 0), (-1, 0)]
+pair_coefficients = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_coefficients, st.lists(st.lists(st.integers(-6, 6), min_size=5, max_size=5), min_size=1, max_size=6))
+@example(TRIANGLE, [[1, 1, 0], [-1, -1, -3], [2, 0, 1]])  # bounded, infeasible, bounded
+@example(STRIP, [[1, 0], [-1, 0], [3, 3]])  # unbounded, infeasible, unbounded
+def test_memoized_geometry_is_exact_for_every_bound(coefficients, bound_vectors):
+    # Systems that share one coefficient tuple share exact_vertices' memo
+    # entry, whatever their bounds: bounded or not, feasible or not, each
+    # outcome is the Fraction oracle's, value or error.
+    names = ("x", "y")
+    for denominator, bounds in enumerate(bound_vectors, start=1):
+        rows = list(zip(coefficients, bounds))
+        inequalities = [(coeffs, "<=", F(beta, denominator)) for coeffs, beta in rows]
+        exact = _outcome(lambda: exact_vertices(denominator, rows))
+        assert exact == _outcome(lambda: fraction_exact_vertices(fraction_system(names, inequalities)))
 
 
 BOX = [((1, 0), "<=", 2), ((1, 0), ">=", -2), ((0, 1), "<=", 2), ((0, 1), ">=", -2)]
