@@ -56,9 +56,18 @@ builds data classes imports ``inspect``, while the array modules keep
 their data classes, as numpy imports ``inspect`` anyway.  ``json`` is
 imported only by :func:`_json_text`, for ``--format json``, and by
 ``channels`` to read a channel file.
-``power`` keeps ``np.log2`` and ``np.linspace``: ``math.log2`` differs
-from ``np.log2`` in the last bit on a few inputs in a thousand, and the
-pinned sweep files hold numpy's bits.
+``power`` keeps ``np.log2`` and ``np.linspace``, and the pinned sweep
+files hold numpy's bits.  Where numpy runs ``log2`` on its AVX-512 loops,
+``math.log2`` differs from it in the last bit on a few inputs in a
+thousand; with those loops disabled the two agree.  So the sweep files are
+byte-identical from run to run on one class of CPU and may differ between
+classes.
+
+Run through ``python -m macwtfb`` or the installed ``macwtfb`` command
+(:func:`macwtfb.__main__.main`), the numpy commands use one OpenBLAS
+thread unless ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+``OMP_NUM_THREADS`` chooses a count: the package makes no BLAS call large
+enough to use more.  :func:`main` itself writes no environment.
 """
 
 from __future__ import annotations

@@ -365,9 +365,11 @@ def _eliminate_rows(rows: list[IntRow], idx: int) -> list[IntRow]:
 def _normalize(rows: Iterable[IntRow]) -> list[IntRow]:
     """The normal form of integer rows over one denominator, sorted by
     direction; of two rows with one direction, the one with the smaller
-    bound over content is kept, compared by cross-multiplying."""
+    bound over content is kept, compared by cross-multiplying.  Coefficients
+    may come as any sequence and leave as tuples."""
     merged: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = {}
     for coeffs, beta in rows:
+        coeffs = tuple(coeffs)
         content = math.gcd(*coeffs)
         if not content:
             if beta < 0:

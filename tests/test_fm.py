@@ -419,6 +419,17 @@ def test_exact_vertices_names_a_primitive_direction():
         exact_vertices(1, [((-2, 0), 0), ((-1, 0), 1), ((1, 0), 3)])
 
 
+@pytest.mark.parametrize("scale", [1, 2], ids=["content_1", "content_2"])
+def test_list_and_tuple_coefficients_give_equal_results(scale):
+    # The triangle x <= 1, y <= 1, x + y >= 0, its rows scaled so that their
+    # content is 1 or above; the rows normalize to the same tuples either way.
+    triangle = [((scale, 0), scale), ((0, scale), scale), ((-scale, -scale), 0)]
+    as_lists = [(list(coeffs), beta) for coeffs, beta in triangle]
+    assert exact_vertices(1, as_lists) == exact_vertices(1, triangle) == ((-1, 1), (1, -1), (1, 1))
+    for keep in (("x",), ("x", "y")):
+        assert project_to(("x", "y"), as_lists, keep) == project_to(("x", "y"), triangle, keep)
+
+
 small_rows = st.lists(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 6)), max_size=4
 )
