@@ -13,9 +13,10 @@ package loads no module.  ``ValidationError``, which every module raises,
 is defined here.
 
 A module either imports numpy at the top or never imports it.
-``channels``, ``info``, ``discrete`` and ``power`` compute with arrays and
-import it; ``regions``, ``gaussian``, ``fm`` and ``cli`` never do, so the
-Gaussian closed forms and the exact checks run without loading numpy.
+``channels``, ``info`` and ``discrete`` compute with arrays and import it;
+``regions``, ``gaussian``, ``power``, ``fm`` and ``cli`` never do, so the
+Gaussian closed forms, the power sweeps and the exact checks run without
+loading numpy.
 Their value types are immutable named tuples, not data classes, so that
 they load no ``inspect`` either.
 """

@@ -5,10 +5,9 @@ count through ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
 ``OMP_NUM_THREADS``.  The package makes no BLAS call large enough to use
 more: its only one is a 1-D dot product in ``info`` on vectors far below
 OpenBLAS's threading threshold.  Yet OpenBLAS starts a worker thread per
-extra core when numpy loads, and those threads cost CPU time in every
-command that loads numpy (``region discrete``, ``powersweep`` and
-``figure --which 4|5``).  The variable is set before any handler imports
-numpy, which reads it once, at load.  :func:`macwtfb.cli.main` itself
+extra core when numpy loads, and those threads cost CPU time in the one
+command that loads numpy, ``region discrete``.  The variable is set before
+any handler imports numpy, which reads it once, at load.  :func:`macwtfb.cli.main` itself
 writes no environment, so the CLI can run in-process unchanged.
 """
 

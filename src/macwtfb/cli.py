@@ -40,31 +40,27 @@ Exit codes: 0 success, 1 verification or input-data failure (an
 ``fm-verify`` mismatch, an unusable channel file), 2 internal invariant
 violation, 64 usage error.
 
-Only the commands that compute with numpy load it.  At the top this module
-imports only the numpy-free ``gaussian`` and ``regions``; every module that
+Only ``region discrete`` loads numpy.  At the top this module imports
+only the numpy-free ``gaussian`` and ``regions``; every module that
 computes with arrays imports numpy at its own top and is imported inside
 the handlers that need it.  ``region discrete`` imports ``channels`` and
-``discrete`` (the search works on arrays), and ``powersweep`` and
-``figure --which 4|5`` import ``power``.  ``region gaussian``,
-``figure --which 2|3`` and ``fm-verify`` run on the closed forms and on
-exact integer arithmetic and load neither numpy nor ``info`` and
-``channels``, which saves most of a short command's start-up.
-``fm-verify`` alone imports ``fm``, ``fractions`` and ``random``.
-The same rule keeps ``inspect`` out: the numpy-free modules define their
-value types as immutable named tuples, because the standard module that
-builds data classes imports ``inspect``, while the array modules keep
-their data classes, as numpy imports ``inspect`` anyway.  ``json`` is
-imported only by :func:`_json_text`, for ``--format json``, and by
-``channels`` to read a channel file.
-``power`` keeps ``np.log2`` and ``np.linspace``, and the pinned sweep
-files hold numpy's bits.  Where numpy runs ``log2`` on its AVX-512 loops,
-``math.log2`` differs from it in the last bit on a few inputs in a
-thousand; with those loops disabled the two agree.  So the sweep files are
-byte-identical from run to run on one class of CPU and may differ between
-classes.
+``discrete`` (the search works on arrays).  ``powersweep`` and
+``figure --which 4|5`` import ``power``, which computes on ``math``.
+``region gaussian``, ``powersweep``, ``figure`` and ``fm-verify`` run on
+the closed forms and on exact integer arithmetic and load neither numpy
+nor ``info`` and ``channels``, which saves most of a short command's
+start-up.  ``fm-verify`` alone imports ``fm``, ``fractions`` and
+``random``.  The same rule keeps ``inspect`` out: the numpy-free modules
+define their value types as immutable named tuples, because the standard
+module that builds data classes imports ``inspect``, while the array
+modules keep their data classes, as numpy imports ``inspect`` anyway.
+``json`` is imported only by :func:`_json_text`, for ``--format json``,
+and by ``channels`` to read a channel file.  The sweep files hold the bits
+of the C library's ``log2``, so they do not depend on which ``log2`` loops
+numpy would pick for the CPU.
 
 Run through ``python -m macwtfb`` or the installed ``macwtfb`` command
-(:func:`macwtfb.__main__.main`), the numpy commands use one OpenBLAS
+(:func:`macwtfb.__main__.main`), the numpy command uses one OpenBLAS
 thread unless ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` chooses a count: the package makes no BLAS call large
 enough to use more.  :func:`main` itself writes no environment.

@@ -13,15 +13,18 @@ nonnegative, i.e. sigma1_sq >= 1/(2*pi*e); smaller main-channel variances
 are rejected rather than silently extrapolated.  So are variances whose
 breakpoint (2*pi*e*sigma1_sq - 1)*sigma2_sq is nonzero but subnormal: there
 the breakpoint keeps too few bits for the two branches to agree on it.
+
+The module computes on ``math`` alone and imports nothing beyond the
+standard library and ``gaussian``: its logarithms are the C library's
+``log2`` and its result record is an immutable named tuple, so
+``powersweep`` and ``figure --which 4|5`` start like ``region gaussian``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
-
-import numpy as np
+from typing import NamedTuple
 
 from . import ValidationError
 from .gaussian import TWO_PI_E, GaussianMacWt, gaussian_diff_entropy
@@ -44,9 +47,9 @@ BELOW_THRESHOLD = "below_threshold"
 ABOVE_THRESHOLD = "above_threshold"
 
 
-@dataclasses.dataclass(frozen=True)
-class PowerControlResult:
-    """Maximizer of the secrecy sum rate under a common power cap.
+class PowerControlResult(NamedTuple):
+    """Maximizer of the secrecy sum rate under a common power cap, an
+    immutable named tuple.
 
     ``regime`` is ``"below_threshold"`` when the cap is strictly below the
     per-transmitter saturation power and ``"above_threshold"`` otherwise
@@ -97,7 +100,7 @@ def sum_rate(p1: float, p2: float, g: GaussianMacWt) -> float:
     """
     saturation_threshold(g)  # checks the domain
     GaussianMacWt(p1, p2, g.sigma1_sq, g.sigma2_sq)  # validates the pair and its total
-    return float(_rate_of_total(np.asarray(p1 + p2, dtype=float), g))
+    return _rate_of_total(p1 + p2, g)
 
 
 def optimal_power(power_cap: float, g: GaussianMacWt) -> PowerControlResult:
@@ -123,18 +126,26 @@ def sweep(
 ) -> list[tuple[float, PowerControlResult]]:
     """Tabulate :func:`optimal_power` on a uniform grid of ``steps`` caps
     spanning [0, p_max].  The optimal sum rate column is nondecreasing in
-    the cap."""
+    the cap.
+
+    Cap i is i * (p_max / (steps - 1)), and the last cap is p_max itself;
+    when that step underflows to 0 (a subnormal p_max), cap i is
+    i / (steps - 1) * p_max instead.  That is ``linspace(0.0, p_max, steps)``
+    of the array library bit for bit, as the sweep tests check.
+    """
     saturation_threshold(g)  # checks the domain
     if steps < 2:
         raise ValidationError("sweep needs at least 2 steps, got %d" % steps)
     if not math.isfinite(p_max) or p_max < 0.0:
         raise ValidationError("maximum power must be finite and nonnegative, got %g" % p_max)
-    caps = np.linspace(0.0, p_max, steps)
-    return [(float(cap), optimal_power(float(cap), g)) for cap in caps]
+    div, p_max = steps - 1, float(p_max)
+    step = p_max / div
+    caps = [i * step if step else i / div * p_max for i in range(div)] + [p_max]
+    return [(cap, optimal_power(cap, g)) for cap in caps]
 
 
-def _rate_of_total(total: np.ndarray, g: GaussianMacWt) -> np.ndarray:
-    s1, s2 = g.sigma1_sq, g.sigma2_sq
-    below = 0.5 * np.log2(1.0 + total / s1)
-    above = below - 0.5 * np.log2(1.0 + total / s2) + gaussian_diff_entropy(s1)
-    return np.where(total <= 2.0 * saturation_threshold(g), below, above)
+def _rate_of_total(total: float, g: GaussianMacWt) -> float:
+    below = 0.5 * math.log2(1.0 + total / g.sigma1_sq)
+    if total <= 2.0 * saturation_threshold(g):
+        return below
+    return below - 0.5 * math.log2(1.0 + total / g.sigma2_sq) + gaussian_diff_entropy(g.sigma1_sq)

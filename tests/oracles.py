@@ -38,8 +38,8 @@ from macwtfb import ValidationError
 from macwtfb.channels import InputFactorization
 from macwtfb.discrete import _DECAY_PATIENCE, _INITIAL_STEP, _STEP_DECAY, SearchConfig
 from macwtfb.fm import as_rational
-from macwtfb.gaussian import GaussianMacWt
-from macwtfb.power import _rate_of_total, saturation_threshold
+from macwtfb.gaussian import TWO_PI_E, GaussianMacWt
+from macwtfb.power import saturation_threshold
 from macwtfb.regions import _hull_ccw, _recession_direction
 
 
@@ -51,15 +51,21 @@ def grid_oracle(
 
     Returns ``(p1, p2, rate)`` at the first grid maximum in row-major
     order, which breaks ties toward smaller p1 and then smaller p2.  Used
-    as an independent check of :func:`optimal_power`.
+    as an independent check of :func:`optimal_power`, so the piecewise sum
+    rate is written out here from :func:`sum_rate`'s docstring, on numpy
+    arrays; the package only checks the domain.
     """
     saturation_threshold(g)
     if resolution < 2:
         raise ValidationError("grid resolution must be at least 2, got %d" % resolution)
     if power_cap < 0.0:
         raise ValidationError("power cap must be nonnegative, got %g" % power_cap)
+    s1, s2 = g.sigma1_sq, g.sigma2_sq
     axis = np.linspace(0.0, power_cap, resolution)
-    rate = _rate_of_total(axis[:, None] + axis[None, :], g)
+    total = axis[:, None] + axis[None, :]
+    below = 0.5 * np.log2(1.0 + total / s1)
+    above = below - 0.5 * np.log2(1.0 + total / s2) + 0.5 * np.log2(TWO_PI_E * s1)
+    rate = np.where(total <= (TWO_PI_E * s1 - 1.0) * s2, below, above)
     flat = int(np.argmax(rate))
     i, j = divmod(flat, resolution)
     return float(axis[i]), float(axis[j]), float(rate[i, j])

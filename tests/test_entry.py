@@ -1,6 +1,7 @@
 """The program entry ``macwtfb.__main__.main``: one OpenBLAS thread unless
 the user chose a count, and the installed command runs through it."""
 
+import json
 import os
 import subprocess
 import sys
@@ -54,29 +55,34 @@ def test_entry_leaves_a_chosen_count_alone(environ, cli_calls, name):
 
 
 # Runs in a fresh interpreter, so that numpy loads after the entry has set
-# the thread count; prints the command's exit code and the thread count.
+# the thread count; prints the command's exit code, whether numpy is loaded
+# (so the thread count cannot pass for a command that never loads it) and
+# the thread count.
 _THREAD_COUNT_SCRIPT = """
 import os, sys
 from macwtfb.__main__ import main
-code = main(["powersweep", "--pmax", "10", "--steps", "3", "--sigma1sq", "5", "--sigma2sq", "2",
-             "--output-dir", sys.argv[1]])
-print(code, len(os.listdir("/proc/self/task")))
+code = main(["region", "discrete", "--channel", sys.argv[2], "--bounds", "df", "--umax", "1",
+             "--restarts", "1", "--iterations", "2", "--output-dir", sys.argv[1]])
+print(code, "numpy" in sys.modules, len(os.listdir("/proc/self/task")))
 """
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_numpy_command_runs_on_one_thread(tmp_path):
+    channel = tmp_path / "channel.json"
+    doc = {"x1_size": 1, "x2_size": 1, "y_size": 1, "z_size": 1, "transition": [[[[1.0]]]]}
+    channel.write_text(json.dumps(doc), encoding="utf-8")
     env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARIABLES}
     proc = subprocess.run(
-        [sys.executable, "-c", _THREAD_COUNT_SCRIPT, str(tmp_path)],
+        [sys.executable, "-c", _THREAD_COUNT_SCRIPT, str(tmp_path / "out"), str(channel)],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 1"
-    assert (tmp_path / "powersweep.csv").is_file()
+    assert proc.stdout.splitlines()[-1] == "0 True 1"
+    assert (tmp_path / "out" / "region_df.csv").is_file()
 
 
 def test_installed_command_runs_through_the_entry():

@@ -1,5 +1,6 @@
 """The package root exports what the README's library example imports,
-the closed-form commands run without loading numpy or ``dataclasses``,
+every command but ``region discrete`` runs without loading numpy or
+``dataclasses``,
 ``json`` loads only when a command needs it, and only fm-verify loads the
 elimination module."""
 
@@ -46,14 +47,18 @@ out, channel = sys.argv[1], sys.argv[2]
 import macwtfb.cli as cli
 record("import macwtfb.cli")
 gaussian = ["region", "gaussian", "--p1", "1", "--p2", "1", "--sigma1sq", "1", "--sigma2sq", "10"]
+powersweep = ["powersweep", "--pmax", "10", "--steps", "3", "--sigma1sq", "5", "--sigma2sq", "2"]
 for step, argv in (
     ("region gaussian", [*gaussian, "--bounds", "df,hybrid,ty,outer"]),
-    ("figure", ["figure", "--which", "2"]),
+    ("figure --which 2", ["figure", "--which", "2"]),
+    ("powersweep", powersweep),
+    ("figure --which 4", ["figure", "--which", "4"]),
+    ("figure --which 5", ["figure", "--which", "5"]),
     ("fm-verify", ["fm-verify", "--samples", "3"]),
     ("region gaussian --format json", [*gaussian, "--bounds", "df", "--format", "json"]),
+    ("powersweep --format json", [*powersweep, "--format", "json"]),
     ("region discrete", ["region", "discrete", "--channel", channel, "--bounds", "df,outer",
                          "--umax", "1", "--restarts", "1", "--iterations", "2"]),
-    ("powersweep", ["powersweep", "--pmax", "10", "--steps", "3", "--sigma1sq", "5", "--sigma2sq", "2"]),
 ):
     record(step, cli.main([*argv, "--output-dir", out]))
 from macwtfb import optimal_power, search_inner
@@ -81,10 +86,13 @@ def test_closed_form_commands_never_import_numpy(tmp_path):
     assert records == [
         ["import macwtfb.cli", 0, False, False, False, False, False, False, False],
         ["region gaussian", 0, False, False, False, False, False, False, False],
-        ["figure", 0, False, False, False, False, False, False, False],
+        ["figure --which 2", 0, False, False, False, False, False, False, False],
+        ["powersweep", 0, False, False, False, False, False, False, False],
+        ["figure --which 4", 0, False, False, False, False, False, False, False],
+        ["figure --which 5", 0, False, False, False, False, False, False, False],
         ["fm-verify", 0, False, True, False, False, False, False, False],
         ["region gaussian --format json", 0, False, True, False, False, False, False, True],
+        ["powersweep --format json", 0, False, True, False, False, False, False, True],
         ["region discrete", 0, True, True, True, True, True, True, True],
-        ["powersweep", 0, True, True, True, True, True, True, True],
         ["from macwtfb import search_inner, optimal_power", 0, True, True, True, True, True, True, True],
     ], proc.stderr

@@ -3,8 +3,9 @@
 import math
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macwtfb import ValidationError
@@ -275,3 +276,14 @@ def test_sweep_two_steps_gives_endpoints():
     rows = sweep(40.0, 2, NOISY_EVE)
     assert [cap for cap, _ in rows] == [0.0, 40.0]
     assert rows[0][1].r_sum_star == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.just(0.0), st.floats(-324.0, 300.0).map(lambda exponent: 10.0**exponent)),
+    st.integers(2, 200),
+)
+@example(1.5e-323, 8)  # the step underflows to 0, where linspace scales i / (steps - 1) instead
+def test_sweep_caps_are_linspace_bit_for_bit(p_max, steps):
+    caps = [cap for cap, _ in sweep(p_max, steps, NOISY_EVE)]
+    assert [cap.hex() for cap in caps] == [float(cap).hex() for cap in np.linspace(0.0, p_max, steps)]

@@ -1,10 +1,11 @@
 """The value records of the numpy-free modules: ``regions.Halfspace``,
-``regions.RateRegion``, ``gaussian.GaussianMacWt`` and
-``fm.ProjectionCheck``.
+``regions.RateRegion``, ``gaussian.GaussianMacWt``, ``fm.ProjectionCheck``
+and ``power.PowerControlResult``.
 
-Each one validates and coerces on construction, cannot be changed after
-it, compares and hashes by its fields, prints as ``Name(field=value, ...)``
-and survives a pickle round trip.
+``Halfspace`` and ``GaussianMacWt`` validate and coerce on construction.
+Each record keeps its fields in a fixed order, cannot be changed after
+construction, compares and hashes by its fields, prints as
+``Name(field=value, ...)`` and survives a pickle round trip.
 """
 
 import math
@@ -16,6 +17,7 @@ import pytest
 from macwtfb import ValidationError
 from macwtfb.fm import ProjectionCheck, verify_hybrid_region_projection
 from macwtfb.gaussian import GaussianMacWt
+from macwtfb.power import BELOW_THRESHOLD, PowerControlResult, optimal_power
 from macwtfb.regions import Halfspace, RateRegion, capped_region, region_from_halfspaces
 
 INF, NAN = math.inf, math.nan
@@ -26,6 +28,7 @@ RECORDS = [
     pytest.param(lambda: capped_region(1, 1, 1.5), "vertices", id="RateRegion"),
     pytest.param(lambda: GaussianMacWt(1, 1, 1, 10), "p1", id="GaussianMacWt"),
     pytest.param(lambda: verify_hybrid_region_projection(1, 1, 0, 0, 0), "match", id="ProjectionCheck"),
+    pytest.param(lambda: optimal_power(200.0, GaussianMacWt(1, 1, 5, 2)), "regime", id="PowerControlResult"),
 ]
 
 
@@ -85,6 +88,23 @@ def test_records_take_their_fields_by_keyword():
         projected_vertices=check.projected_vertices,
         closed_form_vertices=check.closed_form_vertices,
     ) == check
+    result = optimal_power(1.0, GaussianMacWt(1, 1, 1, 10))
+    assert PowerControlResult(
+        p1_star=result.p1_star,
+        p2_star=result.p2_star,
+        r_sum_star=result.r_sum_star,
+        regime=result.regime,
+        threshold=result.threshold,
+    ) == result
+
+
+def test_records_keep_their_fields_in_order():
+    assert Halfspace._fields == ("coeff_r1", "coeff_r2", "bound")
+    assert RateRegion._fields == ("halfspaces", "vertices")
+    assert GaussianMacWt._fields == ("p1", "p2", "sigma1_sq", "sigma2_sq")
+    assert ProjectionCheck._fields == ("match", "projected_vertices", "closed_form_vertices")
+    assert PowerControlResult._fields == ("p1_star", "p2_star", "r_sum_star", "regime", "threshold")
+    assert tuple(PowerControlResult(1.0, 2.0, 0.5, BELOW_THRESHOLD, 3.0)) == (1.0, 2.0, 0.5, BELOW_THRESHOLD, 3.0)
 
 
 # --- immutability, equality, hash -----------------------------------------------------
@@ -113,6 +133,7 @@ def test_records_with_different_fields_differ():
     assert capped_region(1, 1, 1.5) != capped_region(1, 1, 1.25)
     assert GaussianMacWt(1, 1, 1, 10) != GaussianMacWt(1, 1, 1, 9)
     assert verify_hybrid_region_projection(1, 1, 0, 0, 0) != verify_hybrid_region_projection(1, 1, 1, 0, 0)
+    assert optimal_power(200.0, GaussianMacWt(1, 1, 5, 2)) != optimal_power(20.0, GaussianMacWt(1, 1, 5, 2))
 
 
 # --- repr and pickle --------------------------------------------------------------------
@@ -127,6 +148,9 @@ def test_records_print_as_class_name_and_fields():
     assert repr(verify_hybrid_region_projection(1, 1, 0, 0, 0)) == (
         "ProjectionCheck(match=True, projected_vertices=((Fraction(0, 1), Fraction(0, 1)),), "
         "closed_form_vertices=((Fraction(0, 1), Fraction(0, 1)),))"
+    )
+    assert repr(PowerControlResult(1.0, 2.0, 0.5, BELOW_THRESHOLD, 3.0)) == (
+        "PowerControlResult(p1_star=1.0, p2_star=2.0, r_sum_star=0.5, regime='below_threshold', threshold=3.0)"
     )
 
 
