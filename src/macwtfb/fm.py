@@ -25,15 +25,13 @@ The rate-splitting rows have fixed integer coefficients; only their bounds,
 integer combinations of the five constants (a, b, c, d, e), change from
 instance to instance.  So the elimination runs once per process, when the
 module is imported, on the system with the five constants as columns that
-are never eliminated, and its result is a table of projected rows.  The
-check puts the five constants over one ``D``, evaluates the projected rows
-and the closed form on them and enumerates both vertex sets.  Only the
-bounds are computed per instance.  The table's rows are grouped by
-direction at import, so each instance evaluates each distinct weight vector
-once and keeps the tightest row of each direction, which is already the
-normal form below.  ``exact_vertices`` takes what depends on the
-coefficients alone (the recession test, and for each pair of lines their
-intersection and the feasibility test in terms of the bounds) from a
+are never eliminated, and its result is a table of 28 projected rows.  The
+check puts the five constants over one ``D``, evaluates the 28 projected
+rows and the closed form on them and enumerates both vertex sets; only the
+bounds are computed per instance.  ``exact_vertices`` brings the evaluated
+rows to the normal form below like any other input, and takes what depends
+on the coefficients alone (the recession test, and for each pair of lines
+their intersection and the feasibility test in terms of the bounds) from a
 bounded memo keyed on the coefficient tuple; the check's two systems have
 one coefficient tuple each on nearly every instance.
 
@@ -149,7 +147,9 @@ def project_to(
     bound, so the result's feasible set is precisely the shadow of the
     input's.  At each step the variable with the fewest upper-times-lower
     bound pairs is eliminated first, which keeps intermediate systems small
-    on the block-structured inputs this package produces.
+    on the block-structured inputs this package produces.  Each row must
+    have one coefficient per name; a row of another width raises
+    ``ValidationError`` naming it.
     """
     keep = set(keep_variables)
     if not keep:
@@ -157,7 +157,11 @@ def project_to(
     missing = keep.difference(names)
     if missing:
         raise ValidationError("unknown variables in keep set: %s" % sorted(missing))
-    names, rows = tuple(names), _normalize(rows)
+    names, rows = tuple(names), list(rows)
+    for row in rows:
+        if len(row[0]) != len(names):
+            raise ValidationError("row %r has %d coefficients for %d variables" % (row, len(row[0]), len(names)))
+    rows = _normalize(rows)
 
     def pair_count(at: int) -> int:
         return sum(c[at] > 0 for c, _ in rows) * sum(c[at] < 0 for c, _ in rows)
@@ -189,8 +193,11 @@ def exact_vertices(denominator: int, rows: Iterable[IntRow]) -> tuple[tuple[Frac
     An infeasible system yields the empty tuple.  A feasible system that
     is unbounded raises ``ValidationError`` naming a primitive direction
     along which it is unbounded (every system built in this module is
-    bounded).
+    bounded).  ``denominator`` must be a positive integer, and not a bool;
+    anything else raises ``ValidationError``.
     """
+    if isinstance(denominator, bool) or not isinstance(denominator, numbers.Integral) or denominator < 1:
+        raise ValidationError("denominator must be a positive integer, got %r" % (denominator,))
     rows = _normalize(rows)
     for coeffs, _ in rows:
         if len(coeffs) != 2:
@@ -216,7 +223,7 @@ def exact_vertices(denominator: int, rows: Iterable[IntRow]) -> tuple[tuple[Frac
             points.add((x // g, y // g, m // g))
     scale = math.lcm(*(m for _, _, m in points))
     hull = _hull_ccw([(x * scale // m, y * scale // m) for x, y, m in points], 0)
-    den = scale * denominator
+    den = scale * int(denominator)
     return tuple((_fraction(x, den), _fraction(y, den)) for x, y in hull)
 
 
@@ -241,14 +248,14 @@ def verify_hybrid_region_projection(a, b, c, d, e) -> ProjectionCheck:
     polygon equality, not a tolerance check.  The elimination itself runs
     once per process, at import, on the rate-splitting system with the five
     constants as columns that are never eliminated; each instance only
-    evaluates the projected rows on the constants over their common
-    denominator, each distinct weight vector once, keeping the tightest row
-    of each direction.  Both systems are then integer rows over that
-    denominator, and ``exact_vertices`` enumerates each one's vertices from
-    its bounds and the memoized geometry of its coefficients.
+    evaluates the 28 projected rows on the constants over their common
+    denominator.  Both systems are then integer rows over that denominator,
+    and ``exact_vertices`` normalizes each like any other input and
+    enumerates its vertices from its bounds and the memoized geometry of
+    its coefficients.
     """
     denominator, consts = _information_constants(a, b, c, d, e)
-    projected_vertices = exact_vertices(denominator, _evaluate_projected(consts))
+    projected_vertices = exact_vertices(denominator, _evaluate(_PROJECTED_RATE_SPLIT_ROWS, consts))
     closed_vertices = exact_vertices(denominator, _closed_form_rows(*consts))
     return ProjectionCheck(
         match=projected_vertices == closed_vertices,
@@ -275,28 +282,6 @@ def _evaluate(table: Sequence[TableRow], consts: Sequence[int]) -> list[IntRow]:
     """The rows of a coefficient table for the constants over one
     denominator: each bound is ``weights . consts``."""
     return [(coeffs, sum(map(operator.mul, weights, consts))) for coeffs, weights in table]
-
-
-def _evaluate_projected(consts: Sequence[int]) -> list[IntRow]:
-    """The normal form of the projected rate-splitting rows for the
-    constants over one denominator, as ``_normalize`` would give it: each
-    weight vector is evaluated once, and of the rows of one direction the
-    one with the smaller bound over content is kept, compared by
-    cross-multiplying, the first of equal ones."""
-    values = [sum(map(operator.mul, weights, consts)) for weights in _PROJECTED_WEIGHTS]
-    rows = []
-    for group in _PROJECTED_DIRECTIONS:
-        coeffs, content, at = group[0]
-        if not content:  # the constant rows
-            if any(values[k] < 0 for _, _, k in group):
-                return [(coeffs, -1)]  # the marker row 0 <= -1
-            continue
-        beta = values[at]
-        for other, other_content, at in group[1:]:
-            if values[at] * content < beta * other_content:
-                coeffs, content, beta = other, other_content, values[at]
-        rows.append((coeffs, beta))
-    return rows
 
 
 def _closed_form_rows(a: int, b: int, c: int, d: int, e: int) -> list[IntRow]:
@@ -398,24 +383,7 @@ def _project_rate_split_table() -> tuple[TableRow, ...]:
     return tuple((coeffs[:2], tuple(-w for w in coeffs[2:])) for coeffs, _ in projected)
 
 
-def _group_by_direction(table: Sequence[TableRow]) -> tuple[tuple, tuple]:
-    """The distinct weight vectors of a coefficient table, and its rows
-    grouped by direction and sorted as ``_normalize`` sorts them, each row
-    as its coefficients, content and the index of its weight vector, in
-    table order.  The constant rows, of content 0, are one group; those with
-    no negative weight hold for all nonnegative constants and are left out,
-    as ``_normalize`` drops them."""
-    table = [(coeffs, w) for coeffs, w in table if any(coeffs) or min(w) < 0]
-    weights = tuple(dict.fromkeys(w for _, w in table))
-    groups: dict[tuple[int, ...], list] = {}
-    for coeffs, w in table:
-        content = math.gcd(*coeffs)
-        direction = tuple(c // content for c in coeffs) if content else coeffs
-        groups.setdefault(direction, []).append((coeffs, content, weights.index(w)))
-    return weights, tuple(tuple(groups[direction]) for direction in sorted(groups))
-
-
-#: The projected rate-splitting rows, eliminated once per process at import,
-#: and their weight vectors and direction groups for ``_evaluate_projected``.
+#: The projected rate-splitting rows, eliminated once per process at import;
+#: each instance evaluates all of them, and ``exact_vertices`` normalizes the
+#: result like any other input.
 _PROJECTED_RATE_SPLIT_ROWS = _project_rate_split_table()
-_PROJECTED_WEIGHTS, _PROJECTED_DIRECTIONS = _group_by_direction(_PROJECTED_RATE_SPLIT_ROWS)

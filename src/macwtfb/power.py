@@ -98,9 +98,13 @@ def sum_rate(p1: float, p2: float, g: GaussianMacWt) -> float:
     power, or a total that overflows once divided by a noise variance, is
     a ValidationError.
     """
-    saturation_threshold(g)  # checks the domain
+    threshold = saturation_threshold(g)  # checks the domain
     GaussianMacWt(p1, p2, g.sigma1_sq, g.sigma2_sq)  # validates the pair and its total
-    return _rate_of_total(p1 + p2, g)
+    total = p1 + p2
+    below = 0.5 * math.log2(1.0 + total / g.sigma1_sq)
+    if total <= 2.0 * threshold:
+        return below
+    return below - 0.5 * math.log2(1.0 + total / g.sigma2_sq) + gaussian_diff_entropy(g.sigma1_sq)
 
 
 def optimal_power(power_cap: float, g: GaussianMacWt) -> PowerControlResult:
@@ -126,7 +130,7 @@ def sweep(
 ) -> list[tuple[float, PowerControlResult]]:
     """Tabulate :func:`optimal_power` on a uniform grid of ``steps`` caps
     spanning [0, p_max].  The optimal sum rate column is nondecreasing in
-    the cap.
+    the cap.  ``steps`` is an integer (not a bool) of at least 2.
 
     Cap i is i * (p_max / (steps - 1)), and the last cap is p_max itself;
     when that step underflows to 0 (a subnormal p_max), cap i is
@@ -134,6 +138,8 @@ def sweep(
     of the array library bit for bit, as the sweep tests check.
     """
     saturation_threshold(g)  # checks the domain
+    if isinstance(steps, bool) or not hasattr(type(steps), "__index__"):
+        raise ValidationError("sweep needs an integer number of steps, got %r" % (steps,))
     if steps < 2:
         raise ValidationError("sweep needs at least 2 steps, got %d" % steps)
     if not math.isfinite(p_max) or p_max < 0.0:
@@ -143,9 +149,3 @@ def sweep(
     caps = [i * step if step else i / div * p_max for i in range(div)] + [p_max]
     return [(cap, optimal_power(cap, g)) for cap in caps]
 
-
-def _rate_of_total(total: float, g: GaussianMacWt) -> float:
-    below = 0.5 * math.log2(1.0 + total / g.sigma1_sq)
-    if total <= 2.0 * saturation_threshold(g):
-        return below
-    return below - 0.5 * math.log2(1.0 + total / g.sigma2_sq) + gaussian_diff_entropy(g.sigma1_sq)

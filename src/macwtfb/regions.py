@@ -323,7 +323,10 @@ def boundary_samples(region: RateRegion, count: int) -> list[tuple[float, float]
     """Evenly spaced points along the upper-right boundary, by arc length.
 
     Ordered by increasing R1; both endpoints of the chain are included.
+    ``count`` is an integer (not a bool) of at least 1.
     """
+    if isinstance(count, bool) or not hasattr(type(count), "__index__"):
+        raise ValidationError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValidationError(f"count must be at least 1, got {count}")
     path = _pareto_path(region)

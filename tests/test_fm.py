@@ -18,7 +18,6 @@ from macwtfb.fm import (
     RATE_SPLIT_VARIABLES,
     _closed_form_rows,
     _evaluate,
-    _evaluate_projected,
     _information_constants,
     as_rational,
     exact_vertices,
@@ -129,6 +128,20 @@ def test_keep_all_is_identity():
 def test_simplex_shadow():
     rows = [((1, 1, 1), 1), ((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0)]
     assert project_to(("x", "y", "z"), rows, ("x",)) == (("x",), [((-1,), 0), ((1,), 1)])
+
+
+@pytest.mark.parametrize(
+    "names, rows, message",
+    [
+        (("x", "y"), [((1, 0, 0), 1), ((-1, 0, 5), 0)], "row ((1, 0, 0), 1) has 3 coefficients for 2 variables"),
+        (("x", "y", "z"), [((1,), 1)], "row ((1,), 1) has 1 coefficients for 3 variables"),
+    ],
+    ids=["too-wide", "too-narrow"],
+)
+def test_projection_rejects_rows_of_the_wrong_width(names, rows, message):
+    with pytest.raises(ValidationError) as excinfo:
+        project_to(names, rows, {"x"})
+    assert str(excinfo.value) == message
 
 
 def test_projection_keep_set_validation():
@@ -354,8 +367,6 @@ def test_projected_table_matches_per_instance_elimination(a, b, c, d, e):
     names, rows = project_to(RATE_SPLIT_VARIABLES, rate_splitting_system(a, b, c, d, e)[1], {"R1", "R2"})
     assert names == ("R1", "R2")
     assert project_to(names, _evaluate(_PROJECTED_RATE_SPLIT_ROWS, consts), names)[1] == rows
-    # The direction-grouped evaluation the check runs gives the same rows.
-    assert _evaluate_projected(consts) == rows
 
 
 def test_seeded_cases_match_the_fraction_oracle():
@@ -368,6 +379,18 @@ def test_seeded_cases_match_the_fraction_oracle():
         closed = fraction_system(("R1", "R2"), closed_form_inequalities(*consts))
         assert chk.projected_vertices == fraction_exact_vertices(fraction_project_to(split, ("R1", "R2"))), name
         assert chk.closed_form_vertices == fraction_exact_vertices(closed), name
+
+
+def test_check_never_eliminates_per_instance(monkeypatch):
+    # The elimination runs once per process, at import; an instance only
+    # evaluates the projected table and enumerates vertices.
+    def fail(*args):
+        raise AssertionError("eliminated per instance")
+
+    monkeypatch.setattr(fm, "_eliminate_rows", fail)
+    monkeypatch.setattr(fm, "project_to", fail)
+    for name, consts in cli._fm_cases(300, 0):
+        assert verify_hybrid_region_projection(*consts).match, name
 
 
 def test_check_enumerates_vertices_twice_through_the_module(monkeypatch):
@@ -385,6 +408,13 @@ def test_check_enumerates_vertices_twice_through_the_module(monkeypatch):
     for _, consts in cases:
         verify_hybrid_region_projection(*consts)
     assert len(calls) == 2 * len(cases)
+
+
+@pytest.mark.parametrize("denominator", [-1, 0, True])
+def test_exact_vertices_requires_a_positive_integer_denominator(denominator):
+    square = [((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)]
+    with pytest.raises(ValidationError, match="denominator must be a positive integer"):
+        exact_vertices(denominator, square)
 
 
 def test_exact_vertices_requires_two_variables():

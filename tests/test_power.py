@@ -209,6 +209,16 @@ def test_non_finite_arguments_rejected(bad):
         sweep(bad, 3, NOISY_EVE)
 
 
+@pytest.mark.parametrize("steps", [2.5, 3.0, True, "3"])
+def test_non_integer_steps_rejected(steps):
+    with pytest.raises(ValidationError, match="integer number of steps"):
+        sweep(10.0, steps, NOISY_EVE)
+
+
+def test_numpy_integer_steps_accepted():
+    assert sweep(10.0, np.int64(3), NOISY_EVE) == sweep(10.0, 3, NOISY_EVE)
+
+
 def test_overflowing_total_rejected():
     # each power is finite, but their sum, or its ratio to a noise
     # variance, is not

@@ -184,6 +184,12 @@ def test_boundary_samples_triangle_and_degenerate():
         boundary_samples(tri, 0)
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, True])
+def test_boundary_samples_reject_non_integer_counts(count):
+    with pytest.raises(ValidationError, match="count must be an integer"):
+        boundary_samples(region_from_halfspaces([(1, 1, 1)]), count)
+
+
 def test_boundary_samples_do_not_depend_on_the_builtin_sum(monkeypatch):
     # From Python 3.12 the builtin sum of floats is compensated, like fsum.
     # On this region a chain length taken from fsum would move 71 of the 101
