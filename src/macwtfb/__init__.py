@@ -10,7 +10,11 @@ The package root exports the names the README presents; everything else
 is imported from its module, e.g. ``macwtfb.fm`` or ``macwtfb.channels``.
 Each export is imported from its module on first access, so importing the
 package loads no module.  ``ValidationError``, which every module raises,
-is defined here.
+is defined here, with the one rule for scalar arguments: ``_integer``
+accepts what has ``__index__`` (numpy's ``int64`` too) and ``_real`` what
+has ``__float__`` or ``__index__`` (numpy's ``float32`` too), and both
+reject bools and text with a ``ValidationError``; ``_real`` returns a
+finite float, nonnegative or positive where the caller asks for it.
 
 A module either imports numpy at the top or never imports it.
 ``channels``, ``info`` and ``discrete`` compute with arrays and import it;
@@ -22,12 +26,37 @@ they load no ``inspect`` either.
 """
 
 import importlib
+import math
 
 __version__ = "0.1.0"
 
 
 class ValidationError(ValueError):
     """Raised when an input fails a distribution or argument contract."""
+
+
+def _integer(value, what: str, least: int):
+    """``value`` if it is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
+        raise ValidationError("%s must be an integer of at least %d, got %r" % (what, least, value))
+    return value
+
+
+def _real(value, what: str, sign: str = "") -> float:
+    """``float(value)`` if ``value`` is a real number (not a bool or text)
+    whose float is finite and, for ``sign`` ``"nonnegative"`` or
+    ``"positive"``, of that sign.  An integer too large for a float is
+    infinite."""
+    kind = type(value)
+    if isinstance(value, bool) or not (hasattr(kind, "__float__") or hasattr(kind, "__index__")):
+        raise ValidationError("%s must be a real number, got %r" % (what, value))
+    try:
+        v = float(value)
+    except OverflowError:
+        v = math.inf if value > 0 else -math.inf
+    if not math.isfinite(v) or v < 0.0 and sign == "nonnegative" or v <= 0.0 and sign == "positive":
+        raise ValidationError("%s must be finite%s, got %r" % (what, sign and " and " + sign, v))
+    return v
 
 
 # export name -> the module that defines it

@@ -40,12 +40,11 @@ hybrid cap.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import ValidationError
+from . import ValidationError, _integer
 from .channels import (
     InfoQuantities,
     InputFactorization,
@@ -101,9 +100,10 @@ class SearchConfig:
     ``u_cardinality_max`` bounds the auxiliary alphabet of the inner
     searches, every objective gets ``restarts`` seeded restarts, and
     ``refinement_iterations`` caps the number of full coordinate sweeps per
-    restart.  All four are integers (not bools), at least 1 except ``seed``,
-    which is at least 0.  The step schedule within a restart is fixed by the
-    module constants ``_INITIAL_STEP``, ``_STEP_DECAY`` and ``_DECAY_PATIENCE``.
+    restart.  All four are integers by the package's argument rule, at least
+    1 except ``seed``, which is at least 0.  The step schedule within a
+    restart is fixed by the module constants ``_INITIAL_STEP``,
+    ``_STEP_DECAY`` and ``_DECAY_PATIENCE``.
     """
 
     u_cardinality_max: int = 4
@@ -113,12 +113,7 @@ class SearchConfig:
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            least = 0 if field.name == "seed" else 1
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValidationError(
-                    "%s must be an integer of at least %d, got %r" % (field.name, least, value)
-                )
+            _integer(getattr(self, field.name), field.name, 0 if field.name == "seed" else 1)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -51,7 +51,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from . import ValidationError
+from . import ValidationError, _integer
 from .regions import _hull_ccw, _hybrid_sum, _recession_direction
 
 __all__ = [
@@ -193,15 +193,15 @@ def exact_vertices(denominator: int, rows: Iterable[IntRow]) -> tuple[tuple[Frac
     An infeasible system yields the empty tuple.  A feasible system that
     is unbounded raises ``ValidationError`` naming a primitive direction
     along which it is unbounded (every system built in this module is
-    bounded).  ``denominator`` must be a positive integer, and not a bool;
-    anything else raises ``ValidationError``.
+    bounded).  ``denominator`` must be an integer of at least 1 and every
+    row must have two coefficients, or ``ValidationError`` is raised.
     """
-    if isinstance(denominator, bool) or not isinstance(denominator, numbers.Integral) or denominator < 1:
-        raise ValidationError("denominator must be a positive integer, got %r" % (denominator,))
-    rows = _normalize(rows)
+    _integer(denominator, "denominator", 1)
+    rows = list(rows)
     for coeffs, _ in rows:
         if len(coeffs) != 2:
             raise ValidationError("vertex enumeration needs exactly two variables, got %d" % len(coeffs))
+    rows = _normalize(rows)
     if rows and not any(rows[0][0]):  # the marker row 0 <= -1, alone in its system
         return ()
     direction, pairs = _geometry(tuple((c1, c2) for (c1, c2), _ in rows))

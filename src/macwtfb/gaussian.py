@@ -22,7 +22,7 @@ import math
 import warnings
 from typing import NamedTuple
 
-from . import ValidationError
+from . import ValidationError, _real
 from .regions import RateRegion, capped_region, region_from_halfspaces
 
 TWO_PI_E = 2.0 * math.pi * math.e
@@ -46,16 +46,13 @@ class GaussianMacWt(_GaussianFields):
     __slots__ = ()
 
     def __new__(cls, p1, p2, sigma1_sq, sigma2_sq):
-        values = []
-        for name, value in zip(cls._fields, (p1, p2, sigma1_sq, sigma2_sq)):
-            v = float(value)
-            if name in ("p1", "p2"):
-                if not math.isfinite(v) or v < 0.0:
-                    raise ValidationError(f"{name} must be finite and nonnegative, got {v!r}")
-            elif not math.isfinite(v) or v <= 0.0:
-                raise ValidationError(f"{name} must be finite and positive, got {v!r}")
-            values.append(v)
-        g = super().__new__(cls, *values)
+        g = super().__new__(
+            cls,
+            _real(p1, "p1", "nonnegative"),
+            _real(p2, "p2", "nonnegative"),
+            _real(sigma1_sq, "sigma1_sq", "positive"),
+            _real(sigma2_sq, "sigma2_sq", "positive"),
+        )
         if not math.isfinite((g.p1 + g.p2) / min(g.sigma1_sq, g.sigma2_sq)):
             raise ValidationError("(p1 + p2) / min(sigma1_sq, sigma2_sq) overflows to infinity")
         return g
@@ -67,10 +64,7 @@ class GaussianMacWt(_GaussianFields):
 
 def gaussian_diff_entropy(variance: float) -> float:
     """Differential entropy of a scalar Gaussian, 1/2 log2(2 pi e variance), bits."""
-    v = float(variance)
-    if not math.isfinite(v) or v <= 0.0:
-        raise ValidationError(f"variance must be positive and finite, got {variance!r}")
-    return 0.5 * math.log2(TWO_PI_E * v)
+    return 0.5 * math.log2(TWO_PI_E * _real(variance, "variance", "positive"))
 
 
 def _cap(snr: float) -> float:

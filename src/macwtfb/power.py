@@ -14,20 +14,19 @@ are rejected rather than silently extrapolated.  So are variances whose
 breakpoint (2*pi*e*sigma1_sq - 1)*sigma2_sq is nonzero but subnormal: there
 the breakpoint keeps too few bits for the two branches to agree on it.
 
-The module computes on ``math`` alone and imports nothing beyond the
-standard library and ``gaussian``: its logarithms are the C library's
-``log2`` and its result record is an immutable named tuple, so
-``powersweep`` and ``figure --which 4|5`` start like ``region gaussian``.
+The module imports nothing beyond the standard library and ``gaussian``:
+its rates are ``gaussian``'s closed forms, on the C library's ``log2``, and
+its result record is an immutable named tuple, so ``powersweep`` and
+``figure --which 4|5`` start like ``region gaussian``.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from typing import NamedTuple
 
-from . import ValidationError
-from .gaussian import TWO_PI_E, GaussianMacWt, gaussian_diff_entropy
+from . import ValidationError, _integer, _real
+from .gaussian import TWO_PI_E, GaussianMacWt, _cap, df_sum_bound, gaussian_diff_entropy
 
 __all__ = [
     "ABOVE_THRESHOLD",
@@ -99,12 +98,11 @@ def sum_rate(p1: float, p2: float, g: GaussianMacWt) -> float:
     a ValidationError.
     """
     threshold = saturation_threshold(g)  # checks the domain
-    GaussianMacWt(p1, p2, g.sigma1_sq, g.sigma2_sq)  # validates the pair and its total
-    total = p1 + p2
-    below = 0.5 * math.log2(1.0 + total / g.sigma1_sq)
+    pair = GaussianMacWt(p1, p2, g.sigma1_sq, g.sigma2_sq)  # validates the pair and its total
+    total = pair.p1 + pair.p2
     if total <= 2.0 * threshold:
-        return below
-    return below - 0.5 * math.log2(1.0 + total / g.sigma2_sq) + gaussian_diff_entropy(g.sigma1_sq)
+        return _cap(total / g.sigma1_sq)
+    return df_sum_bound(pair) + gaussian_diff_entropy(g.sigma1_sq)
 
 
 def optimal_power(power_cap: float, g: GaussianMacWt) -> PowerControlResult:
@@ -115,11 +113,10 @@ def optimal_power(power_cap: float, g: GaussianMacWt) -> PowerControlResult:
     nondecreasing in the total power and the corner (cap, cap) is optimal.
     """
     threshold = saturation_threshold(g)
-    if not math.isfinite(power_cap) or power_cap < 0.0:
-        raise ValidationError("power cap must be finite and nonnegative, got %g" % power_cap)
+    power_cap = _real(power_cap, "power cap", "nonnegative")
     regime = ABOVE_THRESHOLD if power_cap >= threshold else BELOW_THRESHOLD
     if g.sigma1_sq > g.sigma2_sq and power_cap >= threshold:
-        rate = 0.5 * math.log2(1.0 + 2.0 * threshold / g.sigma1_sq)
+        rate = _cap(2.0 * threshold / g.sigma1_sq)
         return PowerControlResult(threshold, threshold, rate, regime, threshold)
     rate = sum_rate(power_cap, power_cap, g)
     return PowerControlResult(power_cap, power_cap, rate, regime, threshold)
@@ -130,7 +127,8 @@ def sweep(
 ) -> list[tuple[float, PowerControlResult]]:
     """Tabulate :func:`optimal_power` on a uniform grid of ``steps`` caps
     spanning [0, p_max].  The optimal sum rate column is nondecreasing in
-    the cap.  ``steps`` is an integer (not a bool) of at least 2.
+    the cap.  ``steps`` is an integer of at least 2 and ``p_max`` a finite
+    nonnegative real, by the package's argument rule.
 
     Cap i is i * (p_max / (steps - 1)), and the last cap is p_max itself;
     when that step underflows to 0 (a subnormal p_max), cap i is
@@ -138,13 +136,8 @@ def sweep(
     of the array library bit for bit, as the sweep tests check.
     """
     saturation_threshold(g)  # checks the domain
-    if isinstance(steps, bool) or not hasattr(type(steps), "__index__"):
-        raise ValidationError("sweep needs an integer number of steps, got %r" % (steps,))
-    if steps < 2:
-        raise ValidationError("sweep needs at least 2 steps, got %d" % steps)
-    if not math.isfinite(p_max) or p_max < 0.0:
-        raise ValidationError("maximum power must be finite and nonnegative, got %g" % p_max)
-    div, p_max = steps - 1, float(p_max)
+    div = _integer(steps, "steps", 2) - 1
+    p_max = _real(p_max, "maximum power", "nonnegative")
     step = p_max / div
     caps = [i * step if step else i / div * p_max for i in range(div)] + [p_max]
     return [(cap, optimal_power(cap, g)) for cap in caps]

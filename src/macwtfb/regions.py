@@ -36,7 +36,7 @@ import itertools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from . import ValidationError
+from . import ValidationError, _integer, _real
 
 TOL = 1e-9
 # Line pairs whose determinant is this close to zero count as parallel.
@@ -51,18 +51,18 @@ class _HalfspaceFields(NamedTuple):
 
 class Halfspace(_HalfspaceFields):
     """The constraint coeff_r1 * R1 + coeff_r2 * R2 <= bound, an immutable
-    named tuple whose entries are coerced to finite floats."""
+    named tuple whose entries are finite floats, by the package's argument
+    rule."""
 
     __slots__ = ()
 
     def __new__(cls, coeff_r1, coeff_r2, bound):
-        values = []
-        for name, value in zip(cls._fields, (coeff_r1, coeff_r2, bound)):
-            v = float(value)
-            if not math.isfinite(v):
-                raise ValidationError(f"halfspace {name} must be finite, got {v!r}")
-            values.append(v)
-        return super().__new__(cls, *values)
+        return super().__new__(
+            cls,
+            _real(coeff_r1, "halfspace coeff_r1"),
+            _real(coeff_r2, "halfspace coeff_r2"),
+            _real(bound, "halfspace bound"),
+        )
 
     @classmethod
     def _make(cls, iterable):  # through __new__, so _replace validates too
@@ -99,26 +99,13 @@ class RateRegion(NamedTuple):
         return max(v[1] for v in self.vertices)
 
 
-_DEGENERATE_HALFSPACES = (Halfspace(1.0, 0.0, 0.0), Halfspace(0.0, 1.0, 0.0))
+# The region {(0, 0)}, which every empty intersection canonicalizes to.
+_DEGENERATE = RateRegion((Halfspace(1.0, 0.0, 0.0), Halfspace(0.0, 1.0, 0.0)), ((0.0, 0.0),))
 
 
-def _degenerate() -> RateRegion:
-    return RateRegion(_DEGENERATE_HALFSPACES, ((0.0, 0.0),))
-
-
-def _coerce(halfspaces) -> list[Halfspace]:
-    out = []
-    for h in halfspaces:
-        if isinstance(h, Halfspace):
-            out.append(h)
-        else:
-            c1, c2, b = h
-            out.append(Halfspace(c1, c2, b))
-    return out
-
-
-def _canonical_rows(halfspaces: list[Halfspace]):
-    """Scale to max(|c1|,|c2|) = 1, drop all-zero rows, merge duplicates.
+def _canonical_rows(halfspaces: Iterable):
+    """Validate each (c1, c2, bound) triple as a ``Halfspace``, scale it to
+    max(|c1|,|c2|) = 1, drop all-zero rows and merge duplicates.
 
     Returns (rows, infeasible) where rows is a list of (c1, c2, bound) and
     infeasible marks a 0 <= negative row.  Only an exactly zero coefficient
@@ -127,7 +114,7 @@ def _canonical_rows(halfspaces: list[Halfspace]):
     """
     merged: dict[tuple[float, float], float] = {}
     infeasible = False
-    for h in halfspaces:
+    for h in map(Halfspace._make, halfspaces):
         scale = max(abs(h.coeff_r1), abs(h.coeff_r2))
         if scale == 0.0:
             if h.bound < -TOL:
@@ -230,14 +217,14 @@ def region_from_halfspaces(halfspaces: Iterable) -> RateRegion:
     the degenerate region {(0,0)} when no quadrant point is feasible. Raises
     ValidationError if the intersection is unbounded.
     """
-    rows, infeasible = _canonical_rows(_coerce(halfspaces))
+    rows, infeasible = _canonical_rows(halfspaces)
     if infeasible:
-        return _degenerate()
+        return _DEGENERATE
 
     lines = rows + [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
     candidates = _feasible_intersections(lines)
     if not candidates:
-        return _degenerate()
+        return _DEGENERATE
 
     direction = _recession_direction(lines)
     if direction is not None:
@@ -252,7 +239,7 @@ def region_from_halfspaces(halfspaces: Iterable) -> RateRegion:
     clamped = [(max(p[0], 0.0), max(p[1], 0.0)) for p in candidates]
     clamped = [p for p in clamped if all(c1 * p[0] + c2 * p[1] <= b + TOL for c1, c2, b in rows)]
     if not clamped:
-        return _degenerate()
+        return _DEGENERATE
     verts = _hull_ccw(_dedupe(clamped))
 
     kept = []
@@ -323,12 +310,9 @@ def boundary_samples(region: RateRegion, count: int) -> list[tuple[float, float]
     """Evenly spaced points along the upper-right boundary, by arc length.
 
     Ordered by increasing R1; both endpoints of the chain are included.
-    ``count`` is an integer (not a bool) of at least 1.
+    ``count`` is an integer of at least 1 by the package's argument rule.
     """
-    if isinstance(count, bool) or not hasattr(type(count), "__index__"):
-        raise ValidationError(f"count must be an integer, got {count!r}")
-    if count < 1:
-        raise ValidationError(f"count must be at least 1, got {count}")
+    _integer(count, "count", 1)
     path = _pareto_path(region)
     seg_len = [math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(path, path[1:])]
     cum = list(itertools.accumulate(seg_len, initial=0.0))
@@ -358,7 +342,7 @@ def hull_of_regions(regions: Sequence[RateRegion]) -> RateRegion:
         raise ValidationError("hull_of_regions needs at least one region")
     points = [v for r in regions for v in r.vertices]
     if max(max(abs(x), abs(y)) for x, y in points) <= TOL:
-        return _degenerate()
+        return _DEGENERATE
     hull = _hull_ccw(_dedupe(points))
     halfspaces = []
     # A segment has a single generating edge; a polygon closes back to hull[0].

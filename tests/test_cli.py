@@ -237,6 +237,28 @@ def test_overflowing_total_power_is_usage_error(tmp_path, capsys, argv):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["region", "gaussian", "--p1", "-1", "--p2", "1", "--sigma1sq", "1", "--sigma2sq", "10", "--bounds", "df"],
+            "macwtfb region gaussian: error: p1 must be finite and nonnegative, got -1.0",
+        ),
+        (
+            ["powersweep", "--pmax", "10", "--steps", "3", "--sigma1sq", "0", "--sigma2sq", "2"],
+            "macwtfb powersweep: error: sigma1_sq must be finite and positive, got 0.0",
+        ),
+    ],
+    ids=["region_gaussian_negative_power", "powersweep_zero_variance"],
+)
+def test_library_argument_error_is_one_exact_line(tmp_path, capsys, argv, line):
+    out_dir = tmp_path / "out"
+    code = main([*argv, "--output-dir", str(out_dir)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr() == ("", line + "\n")
+    assert not out_dir.exists()
+
+
 # --- powersweep -----------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ and the rate-splitting system's agreement with the closed form."""
 
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -413,13 +414,23 @@ def test_check_enumerates_vertices_twice_through_the_module(monkeypatch):
 @pytest.mark.parametrize("denominator", [-1, 0, True])
 def test_exact_vertices_requires_a_positive_integer_denominator(denominator):
     square = [((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)]
-    with pytest.raises(ValidationError, match="denominator must be a positive integer"):
+    message = "denominator must be an integer of at least 1, got %r" % (denominator,)
+    with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
         exact_vertices(denominator, square)
 
 
 def test_exact_vertices_requires_two_variables():
     with pytest.raises(ValidationError, match="needs exactly two variables, got 1"):
         exact_vertices(1, [((1,), 1)])
+
+
+@pytest.mark.parametrize("bound", [5, -5])
+def test_exact_vertices_checks_the_width_of_a_constant_row(bound):
+    # a satisfied constant row is dropped by the normal form and a violated
+    # one empties the system, but either way it has three coefficients
+    square = [((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)]
+    with pytest.raises(ValidationError, match="^vertex enumeration needs exactly two variables, got 3$"):
+        exact_vertices(1, square + [((0, 0, 0), bound)])
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,29 @@
 """The package root exports what the README's library example imports,
 every command but ``region discrete`` runs without loading numpy or
 ``dataclasses``,
-``json`` loads only when a command needs it, and only fm-verify loads the
-elimination module."""
+``json`` loads only when a command needs it, only fm-verify loads the
+elimination module, and every scalar argument of the library follows the
+one argument rule defined beside ``ValidationError``."""
 
 import ast
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import macwtfb
+from macwtfb import ValidationError
+from macwtfb.discrete import SearchConfig
+from macwtfb.fm import exact_vertices
+from macwtfb.gaussian import GaussianMacWt, gaussian_diff_entropy
+from macwtfb.power import optimal_power, sum_rate, sweep
+from macwtfb.regions import Halfspace, boundary_samples, region_from_halfspaces
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,7 +49,7 @@ def test_readme_imports_are_exported_from_the_package_root():
 _IMPORT_RULE_SCRIPT = """
 import sys
 
-WATCHED = ("numpy", "macwtfb.fm", "macwtfb.info", "macwtfb.channels", "dataclasses", "inspect", "json")
+WATCHED = ("numpy", "macwtfb.fm", "macwtfb.info", "macwtfb.channels", "dataclasses", "inspect", "json", "numbers")
 
 def record(step, code=0):
     print(repr([step, code, *(name in sys.modules for name in WATCHED)]))
@@ -82,17 +93,73 @@ def test_closed_form_commands_never_import_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     records = [ast.literal_eval(line) for line in proc.stdout.splitlines() if line.startswith("[")]
-    # numpy, fm, info, channels, dataclasses, inspect, json
+    # numpy, fm, info, channels, dataclasses, inspect, json, numbers
     assert records == [
-        ["import macwtfb.cli", 0, False, False, False, False, False, False, False],
-        ["region gaussian", 0, False, False, False, False, False, False, False],
-        ["figure --which 2", 0, False, False, False, False, False, False, False],
-        ["powersweep", 0, False, False, False, False, False, False, False],
-        ["figure --which 4", 0, False, False, False, False, False, False, False],
-        ["figure --which 5", 0, False, False, False, False, False, False, False],
-        ["fm-verify", 0, False, True, False, False, False, False, False],
-        ["region gaussian --format json", 0, False, True, False, False, False, False, True],
-        ["powersweep --format json", 0, False, True, False, False, False, False, True],
-        ["region discrete", 0, True, True, True, True, True, True, True],
-        ["from macwtfb import search_inner, optimal_power", 0, True, True, True, True, True, True, True],
+        ["import macwtfb.cli", 0, False, False, False, False, False, False, False, False],
+        ["region gaussian", 0, False, False, False, False, False, False, False, False],
+        ["figure --which 2", 0, False, False, False, False, False, False, False, False],
+        ["powersweep", 0, False, False, False, False, False, False, False, False],
+        ["figure --which 4", 0, False, False, False, False, False, False, False, False],
+        ["figure --which 5", 0, False, False, False, False, False, False, False, False],
+        ["fm-verify", 0, False, True, False, False, False, False, False, True],
+        ["region gaussian --format json", 0, False, True, False, False, False, False, True, True],
+        ["powersweep --format json", 0, False, True, False, False, False, False, True, True],
+        ["region discrete", 0, True, True, True, True, True, True, True, True],
+        ["from macwtfb import search_inner, optimal_power", 0, True, True, True, True, True, True, True, True],
     ], proc.stderr
+
+
+MODEL = GaussianMacWt(1, 1, 5, 2)
+SQUARE = [((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)]
+TRIANGLE = region_from_halfspaces([(1, 1, 1)])
+
+# Each routed argument: a call that passes its value there, the name its
+# messages give it, and its rule, either the least integer it admits or
+# the sign a real must have ("" for any finite real).
+ARGUMENTS = [
+    pytest.param(lambda v: SearchConfig(u_cardinality_max=v), "u_cardinality_max", 1, id="SearchConfig.u_cardinality_max"),
+    pytest.param(lambda v: SearchConfig(restarts=v), "restarts", 1, id="SearchConfig.restarts"),
+    pytest.param(lambda v: SearchConfig(refinement_iterations=v), "refinement_iterations", 1, id="SearchConfig.refinement_iterations"),
+    pytest.param(lambda v: SearchConfig(seed=v), "seed", 0, id="SearchConfig.seed"),
+    pytest.param(lambda v: exact_vertices(v, SQUARE), "denominator", 1, id="exact_vertices.denominator"),
+    pytest.param(lambda v: boundary_samples(TRIANGLE, v), "count", 1, id="boundary_samples.count"),
+    pytest.param(lambda v: sweep(10.0, v, MODEL), "steps", 2, id="sweep.steps"),
+    pytest.param(lambda v: sweep(v, 3, MODEL), "maximum power", "nonnegative", id="sweep.p_max"),
+    pytest.param(lambda v: optimal_power(v, MODEL), "power cap", "nonnegative", id="optimal_power.power_cap"),
+    pytest.param(lambda v: sum_rate(v, 1.0, MODEL), "p1", "nonnegative", id="sum_rate.p1"),
+    pytest.param(lambda v: sum_rate(1.0, v, MODEL), "p2", "nonnegative", id="sum_rate.p2"),
+    pytest.param(lambda v: GaussianMacWt(v, 1, 5, 2), "p1", "nonnegative", id="GaussianMacWt.p1"),
+    pytest.param(lambda v: GaussianMacWt(1, v, 5, 2), "p2", "nonnegative", id="GaussianMacWt.p2"),
+    pytest.param(lambda v: GaussianMacWt(1, 1, v, 2), "sigma1_sq", "positive", id="GaussianMacWt.sigma1_sq"),
+    pytest.param(lambda v: GaussianMacWt(1, 1, 5, v), "sigma2_sq", "positive", id="GaussianMacWt.sigma2_sq"),
+    pytest.param(lambda v: gaussian_diff_entropy(v), "variance", "positive", id="gaussian_diff_entropy"),
+    pytest.param(lambda v: Halfspace(v, 0, 1), "halfspace coeff_r1", "", id="Halfspace.coeff_r1"),
+    pytest.param(lambda v: Halfspace(1, v, 1), "halfspace coeff_r2", "", id="Halfspace.coeff_r2"),
+    pytest.param(lambda v: Halfspace(1, 0, v), "halfspace bound", "", id="Halfspace.bound"),
+]
+
+
+@pytest.mark.parametrize("call, what, rule", ARGUMENTS)
+def test_every_scalar_argument_follows_the_one_rule(call, what, rule):
+    if isinstance(rule, int):
+        integer = "%s must be an integer of at least %d, got %%r" % (what, rule)
+        rejected = {v: integer % (v,) for v in (True, "3", math.nan, np.float32(3))}
+        accepted = {np.int64(3): 3}
+    else:
+        real = "%s must be a real number, got %%r" % what
+        rejected = {True: real % True, "3": real % "3"}
+        finite = "%s must be finite%s, got %%s" % (what, rule and " and " + rule)
+        rejected.update({math.nan: finite % "nan", -(10**400): finite % "-inf"})
+        accepted = {np.int64(3): 3, np.float32(1.5): 1.5}
+    for value, message in rejected.items():
+        with pytest.raises(ValidationError) as info:
+            call(value)
+        assert str(info.value) == message
+    for value, plain in accepted.items():
+        assert call(value) == call(plain)
+
+
+def test_an_integer_power_cap_gives_float_powers():
+    result = optimal_power(1, MODEL)
+    assert type(result.p1_star) is float and type(result.p2_star) is float
+    assert result == optimal_power(1.0, MODEL)

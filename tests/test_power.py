@@ -1,6 +1,7 @@
 """Power control: frozen optimum values, branch continuity, oracle agreement."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -211,7 +212,8 @@ def test_non_finite_arguments_rejected(bad):
 
 @pytest.mark.parametrize("steps", [2.5, 3.0, True, "3"])
 def test_non_integer_steps_rejected(steps):
-    with pytest.raises(ValidationError, match="integer number of steps"):
+    message = "steps must be an integer of at least 2, got %r" % (steps,)
+    with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
         sweep(10.0, steps, NOISY_EVE)
 
 
