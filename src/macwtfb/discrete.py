@@ -11,8 +11,11 @@ the true supremum.  Results are deterministic functions of the kernel,
 the configuration and the seed.
 
 The restarts run in lockstep.  A *lane* is one independent ascent, one
-(objective, restart) pair: ``search_inner`` has three objectives times R
-restarts per auxiliary cardinality, the other searches R lanes.  All lanes
+(objective, restart) pair: an inner search has three objectives per bound
+kind times R restarts per auxiliary cardinality, the other searches R
+lanes.  The kinds that ``search_inners`` searches together share one
+lockstep, whose objective calls score the lanes of every kind on one
+evaluation of the information quantities.  All lanes
 sweep the same rows, each with its own step, stall count and stop.  A
 batched evaluation scores a window of at least one trial move of a row for
 every live lane, up to 72 (lane, move) pairs in all unless more than 72
@@ -64,6 +67,7 @@ __all__ = [
     "hybrid_region_for_input",
     "sato_outer_for_joint",
     "search_inner",
+    "search_inners",
     "search_outer",
     "wyner_capacity",
 ]
@@ -83,13 +87,16 @@ _STEP_DECAY = 0.5
 _DECAY_PATIENCE = 25
 
 # (lane, move) pairs per objective call of the ascent: the six moves of a
-# 3-letter row for the 12 lanes of a 4-restart inner search.  Each live lane
-# gets an equal share but at least one move, so above 36 live lanes a call
-# holds one move of each, and above 72 it holds more pairs.  A call of the
-# 2- and 3-letter kernels costs about 80-110 us at 4 lanes and 130-150 us at
-# 12, mostly fixed overhead, but 260-710 us at 64 and 0.8-2.0 ms at 192, where
-# the per-lane work dominates; the cap keeps the discarded moves and the
-# arrays small.
+# 3-letter row for the 12 lanes of one bound's 4-restart inner search, or
+# three moves each for the 24 lanes of df and hybrid in one lockstep.  Each
+# live lane gets an equal share but at least one move, so above 36 live lanes
+# a call holds one move of each, and above 72 it holds more pairs.  With one
+# BLAS thread, a df-and-hybrid call of the 2- and 3-letter kernels at |U| of
+# 2 to 4 costs about 75-100 us at 4 lanes, 100-180 us at 12 and 135-320 us at
+# 24, mostly fixed overhead, but 220-740 us at 64 and 0.6-2.5 ms at 192,
+# where the per-lane work dominates; the cap keeps the discarded moves and
+# the arrays small.  A cap of 144 gives the same bits, but the 3-letter
+# df-and-hybrid search of the benchmark takes about 10% longer with it.
 _PAIRS_PER_CALL = 72
 
 
@@ -166,31 +173,60 @@ def search_inner(
     rates), each with seeded random restarts around a uniform start; the
     restarts of all three run in lockstep.  The
     distinct local maxima are reduced to the nondominated set, and the hull
-    of their union is the time-sharing region.
+    of their union is the time-sharing region.  This is the one-kind view of
+    :func:`search_inners`.
     """
-    if bound_kind not in _BOUND_KINDS:
-        raise ValidationError(
-            "bound_kind must be one of %s, got %r" % (list(_BOUND_KINDS), bound_kind)
-        )
-    kind_id = _BOUND_KINDS.index(bound_kind)
-    sum_cap, region_of = _BOUNDS[bound_kind]
+    return search_inners(kernel, (bound_kind,), config)[0]
+
+
+def search_inners(
+    kernel: MacWiretapKernel,
+    bound_kinds: Sequence[str],
+    config: SearchConfig = SearchConfig(),
+) -> tuple[InnerSearchResult, ...]:
+    """:func:`search_inner` for each of the distinct ``bound_kinds``, one
+    result per kind in the order given, with the restarts of every kind run
+    in one lockstep per auxiliary cardinality.
+
+    Each kind's lanes keep the stream keys they have in a search of that
+    kind alone, and one call of the objective scores the lanes of all kinds
+    on one evaluation of the information quantities, so every result equals
+    the one :func:`search_inner` returns for its kind.
+    """
+    kinds = tuple(bound_kinds)
+    for kind in kinds:
+        if kind not in _BOUND_KINDS:
+            raise ValidationError(
+                "bound_kind must be one of %s, got %r" % (list(_BOUND_KINDS), kind)
+            )
+    if not kinds or len(set(kinds)) != len(kinds):
+        raise ValidationError("bound_kinds must be distinct and not empty, got %r" % (kinds,))
+    caps = [_BOUNDS[kind][0] for kind in kinds]
     w = kernel.transition
     n1, n2 = kernel.x1_size, kernel.x2_size
 
     def objective(ids: np.ndarray, u: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        return _scores(sum_cap, ids, _factorized_quantities(w, u[:, 0], x1, x2))
+        # stream s scores objective s % 3 of _scores for kind s // 3
+        q = _factorized_quantities(w, u[:, 0], x1, x2)
+        return np.choose(ids // 3, [_scores(cap, ids % 3, q) for cap in caps])
 
-    found: list[tuple[InputFactorization, RateRegion]] = []
+    found: list[list[tuple[InputFactorization, RateRegion]]] = [[] for _ in kinds]
     for u_size in range(1, config.u_cardinality_max + 1):
-        # stream s holds the lanes of objective id s of _scores
-        streams = [(_INNER_STREAM, kind_id, u_size, score_id) for score_id in range(3)]
+        streams = [
+            (_INNER_STREAM, _BOUND_KINDS.index(kind), u_size, score_id)
+            for kind in kinds
+            for score_id in range(3)
+        ]
         shapes = [(1, u_size), (u_size, n1), (u_size, n2)]
-        for _, (u, x1, x2) in _best_of_restarts(shapes, streams, objective, config):
+        best = _best_of_restarts(shapes, streams, objective, config)
+        for s, (_, (u, x1, x2)) in enumerate(best):
             fact = InputFactorization(u[0], x1, x2)
-            found.append((fact, region_of(info_quantities(kernel, fact))))
-    kept = _nondominated(found)
-    return InnerSearchResult(
-        candidates=tuple(kept), hull=hull_of_regions([region for _, region in kept])
+            region_of = _BOUNDS[kinds[s // 3]][1]
+            found[s // 3].append((fact, region_of(info_quantities(kernel, fact))))
+    kept = [_nondominated(kind_found) for kind_found in found]
+    return tuple(
+        InnerSearchResult(candidates=tuple(k), hull=hull_of_regions([region for _, region in k]))
+        for k in kept
     )
 
 
@@ -413,12 +449,14 @@ def _ascend(
     live = np.ones(len(ids), dtype=bool)
     idle = np.zeros(len(ids), dtype=bool)  # last sweep took nothing and kept the step
 
+    # per block: its move count and each move's letter and sign; move m bumps
+    # letter m // 2, by -step when m is odd
+    block_moves = [
+        (2 * n, np.arange(2 * n) // 2, np.tile([1.0, -1.0], n)) for n in (b.shape[2] for b in blocks)
+    ]
     for _ in range(config.refinement_iterations):
         improved = np.zeros(len(ids), dtype=bool)
-        for k, block in enumerate(blocks):
-            moves = 2 * block.shape[2]  # move m bumps letter m // 2, by -step when m is odd
-            letter = np.arange(moves) // 2
-            sign = np.tile([1.0, -1.0], block.shape[2])
+        for k, (block, (moves, letter, sign)) in enumerate(zip(blocks, block_moves)):
             for row in range(block.shape[1]):
                 lanes = np.flatnonzero(live & ~idle)
                 first = np.zeros(len(lanes), dtype=int)  # each lane's first untried move
@@ -444,7 +482,10 @@ def _ascend(
                         trial_blocks[k][:, row] = trial[scored]
                         value = np.asarray(objective(ids[who], *trial_blocks), dtype=float)
                         passed = np.flatnonzero(value > best[who] + 1e-15)
-                        passed = passed[np.unique(who[passed], return_index=True)[1]]
+                        passer = who[passed]  # nondecreasing, so a lane's first pass leads its run
+                        lead = np.ones(len(passed), dtype=bool)
+                        lead[1:] = passer[1:] != passer[:-1]
+                        passed = passed[lead]
                         take = scored[passed]
                         block[lane[take], row] = trial[take]
                         best[lane[take]] = value[passed]

@@ -477,6 +477,7 @@ def test_output_dir_env_var_is_the_default(tmp_path, monkeypatch):
 BAD_DIR_COMMANDS = {
     "region_gaussian": ["region", "gaussian", *FIG2_FLAGS, "--bounds", "df,outer"],
     "region_discrete": ["region", "discrete", "--channel", "CHANNEL", "--bounds", "df,outer"],
+    "region_discrete_joint": ["region", "discrete", "--channel", "CHANNEL", "--bounds", "df,hybrid,outer"],
     "powersweep": ["powersweep", "--pmax", "10", "--steps", "3", "--sigma1sq", "5", "--sigma2sq", "2"],
     "figure": ["figure", "--which", "2"],
     "fm_verify": ["fm-verify", "--samples", "2"],
@@ -491,6 +492,7 @@ def _no_search(*args, **kwargs):
 @pytest.mark.parametrize("command", sorted(BAD_DIR_COMMANDS))
 def test_unusable_output_dir_is_usage_error(tmp_path, capsys, monkeypatch, command, via):
     monkeypatch.setattr(discrete, "search_inner", _no_search)
+    monkeypatch.setattr(discrete, "search_inners", _no_search)
     monkeypatch.setattr(discrete, "search_outer", _no_search)
     channel = write_zy_channel(tmp_path / "zy.json")
     afile = tmp_path / "afile"

@@ -23,10 +23,12 @@ from macwtfb.discrete import (
     hybrid_region_for_input,
     sato_outer_for_joint,
     search_inner,
+    search_inners,
     search_outer,
     wyner_capacity,
 )
 from macwtfb.discrete import (
+    _BOUND_KINDS,
     _BOUNDS,
     _INNER_STREAM,
     _ascend,
@@ -215,6 +217,32 @@ def test_inner_search_is_deterministic():
 def test_inner_search_rejects_unknown_bound():
     with pytest.raises(ValidationError):
         search_inner(xor_blind_kernel(), "outer", FAST)
+
+
+@pytest.mark.parametrize(
+    "n1, umax, restarts",
+    # 13 restarts put 78 lanes in the joint lockstep, so windows are cut
+    [(2, 2, 3), (2, 3, 13), (3, 2, 13), (3, 3, 4)],
+)
+def test_joint_inner_search_equals_the_one_kind_searches(n1, umax, restarts):
+    k = random_kernel(np.random.default_rng(71 + n1 + umax), n1, 2, 2, 2)
+    config = SearchConfig(u_cardinality_max=umax, restarts=restarts, refinement_iterations=60, seed=umax)
+    joint = search_inners(k, ("df", "hybrid"), config)
+    alone = (search_inner(k, "df", config), search_inner(k, "hybrid", config))
+    assert len(joint) == 2
+    for got, want in zip(joint, alone):
+        assert got.hull.vertices == want.hull.vertices
+        assert len(got.candidates) == len(want.candidates)
+        for (got_law, got_region), (want_law, want_region) in zip(got.candidates, want.candidates):
+            assert got_region == want_region
+            for field in dataclasses.fields(got_law):
+                assert np.array_equal(getattr(got_law, field.name), getattr(want_law, field.name))
+
+
+@pytest.mark.parametrize("kinds", [("df", "sato"), ("outer",), ("hybrid", "df", "hybrid"), ()])
+def test_joint_inner_search_rejects_bad_kinds(kinds):
+    with pytest.raises(ValidationError):
+        search_inners(xor_blind_kernel(), kinds, FAST)
 
 
 def test_inner_vertices_inside_searched_outer():
@@ -508,20 +536,32 @@ def test_lockstep_search_equals_the_sequential_restarts(shapes, restarts, iterat
 
 @pytest.mark.parametrize("n1", [2, 3])
 def test_inner_search_objective_equals_the_scalar_oracle(n1):
-    # The real objective of search_inner through the lockstep ascent, ==
+    # The real objective of search_inners through the lockstep ascent, ==
     # the scalar kernel and scorer through the sequential restarts, on the
-    # same stream keys: equal values and blocks per (|U|, objective).
-    w = random_kernel(np.random.default_rng(43 + n1), n1, 2, 2, 2).transition
-    for kind_id, (sum_cap, _) in enumerate(_BOUNDS.values()):
+    # same stream keys: equal values and blocks per (|U|, kind, objective),
+    # for each kind alone and for both kinds in one lockstep.  Every law
+    # search_inners keeps is one of these winners of its own kind.
+    kernel = random_kernel(np.random.default_rng(43 + n1), n1, 2, 2, 2)
+    w = kernel.transition
+    for kinds in (("df",), ("hybrid",), ("df", "hybrid")):
+        caps = [_BOUNDS[kind][0] for kind in kinds]
+        winners = [[] for _ in kinds]
 
         def objective(ids, u, x1, x2):
-            return _scores(sum_cap, ids, _factorized_quantities(w, u[:, 0], x1, x2))
+            q = _factorized_quantities(w, u[:, 0], x1, x2)
+            return np.choose(ids // 3, [_scores(cap, ids % 3, q) for cap in caps])
 
         for u_size in range(1, FAST.u_cardinality_max + 1):
             shapes = [(1, u_size), (u_size, n1), (u_size, 2)]
-            streams = [(_INNER_STREAM, kind_id, u_size, score_id) for score_id in range(3)]
+            streams = [
+                (_INNER_STREAM, _BOUND_KINDS.index(kind), u_size, score_id)
+                for kind in kinds
+                for score_id in range(3)
+            ]
             best = _best_of_restarts(shapes, streams, objective, FAST)
-            for score_id, ((value, got), stream) in enumerate(zip(best, streams)):
+            assert len(best) == len(streams)
+            for s, ((value, got), stream) in enumerate(zip(best, streams)):
+                sum_cap, score_id = caps[s // 3], s % 3
 
                 def scalar(u, x1, x2):
                     q = scalar_factorized_quantities(w, u[0], x1, x2)
@@ -531,6 +571,15 @@ def test_inner_search_objective_equals_the_scalar_oracle(n1):
                 assert value == want_value
                 for g, v in zip(got, want):
                     assert np.array_equal(g, v)
+                winners[s // 3].append((got[0][0], got[1], got[2]))
+
+        for result, kind_winners in zip(search_inners(kernel, kinds, FAST), winners):
+            assert result.candidates
+            for law, _ in result.candidates:
+                assert any(
+                    all(np.array_equal(g, v) for g, v in zip(dataclasses.astuple(law), winner))
+                    for winner in kind_winners
+                )
 
 
 # --- single-user rates -----------------------------------------------------------------
