@@ -11,10 +11,12 @@ is imported from its module, e.g. ``macwtfb.fm`` or ``macwtfb.channels``.
 Each export is imported from its module on first access, so importing the
 package loads no module.  ``ValidationError``, which every module raises,
 is defined here, with the one rule for scalar arguments: ``_integer``
-accepts what has ``__index__`` (numpy's ``int64`` too) and ``_real`` what
-has ``__float__`` or ``__index__`` (numpy's ``float32`` too), and both
-reject bools and text with a ``ValidationError``; ``_real`` returns a
-finite float, nonnegative or positive where the caller asks for it.
+returns ``operator.index`` of its value as an ``int`` (numpy's ``int64``
+too) and ``_real`` the float of what has ``__float__`` or ``__index__``
+(numpy's ``float32`` too).  Both reject bools and text, numpy's too, and
+arrays with one or more axes with a ``ValidationError``; ``_real``
+returns a finite float, nonnegative or positive where the caller asks for
+it.  No other module decides what is an integer or a real.
 
 A module either imports numpy at the top or never imports it.
 ``channels``, ``info`` and ``discrete`` compute with arrays and import it;
@@ -27,6 +29,8 @@ they load no ``inspect`` either.
 
 import importlib
 import math
+import operator
+import sys
 
 __version__ = "0.1.0"
 
@@ -35,20 +39,36 @@ class ValidationError(ValueError):
     """Raised when an input fails a distribution or argument contract."""
 
 
-def _integer(value, what: str, least: int):
-    """``value`` if it is an integer (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
-        raise ValidationError("%s must be an integer of at least %d, got %r" % (what, least, value))
-    return value
+def _scalar(value) -> bool:
+    """Whether ``value`` is no bool and, if a numpy value, an integer or
+    float without axes: numpy bools, text and complex numbers and arrays
+    with one or more axes are not.  numpy is looked up, never imported:
+    no numpy value exists before it is."""
+    numpy = sys.modules.get("numpy")
+    if numpy is not None and isinstance(value, (numpy.generic, numpy.ndarray)):
+        return value.ndim == 0 and value.dtype.kind in "iuf"
+    return not isinstance(value, bool)
+
+
+def _integer(value, what: str, least: float = -math.inf) -> int:
+    """``operator.index(value)``, a Python ``int``, if ``value`` is an
+    integer (not a bool or an array with axes) of at least ``least``."""
+    try:
+        v = operator.index(value) if _scalar(value) else None
+    except TypeError:
+        v = None
+    if v is None or v < least:
+        raise ValidationError("%s must be an integer of at least %s, got %r" % (what, least, value))
+    return v
 
 
 def _real(value, what: str, sign: str = "") -> float:
-    """``float(value)`` if ``value`` is a real number (not a bool or text)
-    whose float is finite and, for ``sign`` ``"nonnegative"`` or
-    ``"positive"``, of that sign.  An integer too large for a float is
-    infinite."""
+    """``float(value)`` if ``value`` is a real number (not a bool, an array
+    with axes or text) whose float is finite and, for ``sign``
+    ``"nonnegative"`` or ``"positive"``, of that sign.  An integer too
+    large for a float is infinite."""
     kind = type(value)
-    if isinstance(value, bool) or not (hasattr(kind, "__float__") or hasattr(kind, "__index__")):
+    if not _scalar(value) or not (hasattr(kind, "__float__") or hasattr(kind, "__index__")):
         raise ValidationError("%s must be a real number, got %r" % (what, value))
     try:
         v = float(value)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ValidationError
+from . import ValidationError, _integer
 from .info import JointDist, check_mass, conditional_entropy, mutual_information
 
 # per-input transition rows renormalize when off by at most this, reject beyond
@@ -195,12 +195,7 @@ def parse_channel(obj) -> MacWiretapKernel:
     missing = [k for k in required if k not in obj]
     if missing:
         raise ValidationError(f"channel document missing keys: {', '.join(missing)}")
-    sizes = []
-    for key in required[:4]:
-        v = obj[key]
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValidationError(f"{key} must be a positive integer, got {v!r}")
-        sizes.append(v)
+    sizes = [_integer(obj[key], key, 1) for key in required[:4]]
     bad = next(_non_numbers(obj["transition"]), None)
     if bad is not None:
         raise ValidationError(f"transition entry at index {bad} is not a number")

@@ -482,10 +482,7 @@ def _ascend(
                         trial_blocks[k][:, row] = trial[scored]
                         value = np.asarray(objective(ids[who], *trial_blocks), dtype=float)
                         passed = np.flatnonzero(value > best[who] + 1e-15)
-                        passer = who[passed]  # nondecreasing, so a lane's first pass leads its run
-                        lead = np.ones(len(passed), dtype=bool)
-                        lead[1:] = passer[1:] != passer[:-1]
-                        passed = passed[lead]
+                        passed = passed[np.unique(who[passed], return_index=True)[1]]
                         take = scored[passed]
                         block[lane[take], row] = trial[take]
                         best[lane[take]] = value[passed]

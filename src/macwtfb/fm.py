@@ -12,8 +12,9 @@ closed form's sum cap is the same function the discrete search uses
 writes, not a copy of it.
 
 Every coefficient is an integer and no floating-point comparison occurs
-anywhere in this module.  Float inputs are rationalized once at the
-boundary with denominators capped at 2**32, an error far below every
+anywhere in this module.  Inputs pass the package's scalar rule once, at
+the boundary (``as_rational``): integers stay exact, and other reals are
+rationalized with denominators capped at 2**32, an error far below every
 tolerance used elsewhere in the package.  A system is a list of integer
 rows ``(coeffs, beta)`` over one system denominator ``D``, meaning
 ``coeffs . x <= beta / D``; ``Fraction`` appears only in the vertices
@@ -46,12 +47,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from . import ValidationError, _integer
+from . import ValidationError, _integer, _real
 from .regions import _hull_ccw, _hybrid_sum, _recession_direction
 
 __all__ = [
@@ -74,27 +74,22 @@ IntRow = tuple[tuple[int, ...], int]
 TableRow = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def as_rational(value) -> Fraction:
-    """Convert an integer, Fraction or float to an exact rational.  Any
-    ``numbers.Integral`` is an integer (numpy's ``int64`` too), and any
-    other ``numbers.Real`` a float (numpy's ``float32`` too), except a
-    bool, which is not a number here although Python counts it as an int.
-
-    Floats are rounded to the nearest fraction with denominator at most
-    2**32, so downstream arithmetic is exact and reproducible.
+def as_rational(value, what: str = "value") -> Fraction:
+    """Convert an integer, Fraction or other real number to an exact
+    rational under the package's scalar rule.  An integer (numpy's
+    ``int64`` too) stays exact at any size and sign; any other real
+    (numpy's ``float32`` too) is rounded to the nearest fraction with
+    denominator at most 2**32, so downstream arithmetic is exact and
+    reproducible.  A bool, an array or text raises a ``ValidationError``
+    that names the value ``what``.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral):
-            return Fraction(int(value))
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValidationError("cannot rationalize non-finite value %r" % value)
-        return Fraction(value).limit_denominator(RATIONALIZE_DENOMINATOR)
-    raise ValidationError(
-        "expected int, float or Fraction, got %s" % type(value).__name__
-    )
+    try:
+        return Fraction(_integer(value, what))
+    except ValidationError:
+        pass
+    return Fraction(_real(value, what)).limit_denominator(RATIONALIZE_DENOMINATOR)
 
 
 RATE_SPLIT_VARIABLES = ("R1", "R2", "R10", "R11", "R1s", "R20", "R21", "R2s")
@@ -270,7 +265,7 @@ def verify_hybrid_region_projection(a, b, c, d, e) -> ProjectionCheck:
 def _information_constants(*values) -> tuple[int, list[int]]:
     """The constants rationalized and checked nonnegative, as integer
     numerators over their least common denominator."""
-    ratios = [as_rational(v).as_integer_ratio() for v in values]
+    ratios = [as_rational(v, name).as_integer_ratio() for name, v in zip("abcde", values)]
     denominator = math.lcm(*(d for _, d in ratios))
     numerators = [n * (denominator // d) for n, d in ratios]
     if min(numerators) < 0:

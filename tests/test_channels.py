@@ -236,7 +236,7 @@ def test_channel_json_errors(tmp_path):
 
     with pytest.raises(ValidationError, match="missing keys"):
         parse_channel({"x1_size": 2})
-    with pytest.raises(ValidationError, match="positive integer"):
+    with pytest.raises(ValidationError, match="^x1_size must be an integer of at least 1, got 0$"):
         parse_channel(
             {"x1_size": 0, "x2_size": 1, "y_size": 1, "z_size": 1, "transition": []}
         )

@@ -59,14 +59,16 @@ def test_as_rational_conversions():
     assert as_rational(2) == F(2)
     assert as_rational(0.25) == F(1, 4)
     assert abs(as_rational(0.3) - F(3, 10)) < F(1, 2**32)
+    assert as_rational(2**70 + 1) == F(2**70 + 1)
 
 
 @pytest.mark.parametrize("float_type", [np.float16, np.float32, np.float64])
 def test_as_rational_converts_numpy_floats(float_type):
-    # A numpy float is a numbers.Real; float16 and float32 are no float.
+    # float16 and float32 are no float, but the scalar rule takes what has
+    # __float__ as a real.
     assert as_rational(float_type(0.5)) == F(1, 2)
     assert as_rational(float_type(0.3)) == as_rational(float(float_type(0.3)))
-    with pytest.raises(ValidationError, match="non-finite value nan"):
+    with pytest.raises(ValidationError, match="^value must be finite, got nan$"):
         as_rational(float_type("nan"))
     assert verify_hybrid_region_projection(*map(float_type, (1, 1, 1.5, 0.5, 0.25))).match
 
@@ -79,15 +81,15 @@ def test_as_rational_rejects_non_finite_and_foreign_types():
     with pytest.raises(ValidationError):
         as_rational("0.5")
     for flag in (True, False, np.True_):
-        with pytest.raises(ValidationError, match="got bool"):
+        with pytest.raises(ValidationError, match="^value must be a real number, got %s$" % re.escape(repr(flag))):
             as_rational(flag)
-    with pytest.raises(ValidationError, match="got bool"):
+    with pytest.raises(ValidationError, match="^a must be a real number, got True$"):
         verify_hybrid_region_projection(True, 1, 1, 0, 0)
 
 
 @pytest.mark.parametrize("consts", [(0, 0, 0, 0, 0), (1, 1, 2, 1, 0), (2, 3, 4, 1, 2), (5, 2, 6, 3, 7)])
 def test_numpy_integers_are_integers(consts):
-    # np.int64 is a numbers.Integral but no int; np.float64 is a float.
+    # np.int64 is an integer with __index__ but no int; np.float64 is a float.
     value = as_rational(np.int64(consts[2]))
     assert value == F(consts[2]) and type(value.numerator) is int
     check = verify_hybrid_region_projection(*consts)

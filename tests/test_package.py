@@ -3,7 +3,8 @@ every command but ``region discrete`` runs without loading numpy or
 ``dataclasses``,
 ``json`` loads only when a command needs it, only fm-verify loads the
 elimination module, and every scalar argument of the library follows the
-one argument rule defined beside ``ValidationError``."""
+one argument rule defined beside ``ValidationError``, which refuses
+bools and text, numpy's too, and numpy arrays with axes."""
 
 import ast
 import json
@@ -19,8 +20,9 @@ import pytest
 
 import macwtfb
 from macwtfb import ValidationError
+from macwtfb.channels import parse_channel
 from macwtfb.discrete import SearchConfig
-from macwtfb.fm import exact_vertices
+from macwtfb.fm import as_rational, exact_vertices, verify_hybrid_region_projection
 from macwtfb.gaussian import GaussianMacWt, gaussian_diff_entropy
 from macwtfb.power import optimal_power, sum_rate, sweep
 from macwtfb.regions import Halfspace, boundary_samples, region_from_halfspaces
@@ -113,9 +115,22 @@ MODEL = GaussianMacWt(1, 1, 5, 2)
 SQUARE = [((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)]
 TRIANGLE = region_from_halfspaces([(1, 1, 1)])
 
+SIZES = ("x1_size", "x2_size", "y_size", "z_size")
+
+
+def channel_shape(key, value):
+    """The transition shape of a channel document whose ``key`` size is
+    ``value`` and whose other sizes are 1; its transition fits size 3."""
+    shape = [3 if k == key else 1 for k in SIZES]
+    doc = {**dict.fromkeys(SIZES, 1), key: value}
+    doc["transition"] = np.full(shape, 1 / (shape[2] * shape[3])).tolist()
+    return parse_channel(doc).transition.shape
+
+
 # Each routed argument: a call that passes its value there, the name its
-# messages give it, and its rule, either the least integer it admits or
-# the sign a real must have ("" for any finite real).
+# messages give it, and its rule, either the least integer it admits, the
+# sign a real must have ("" for any finite real), or None for a finite
+# real that keeps an integer of any size exact.
 ARGUMENTS = [
     pytest.param(lambda v: SearchConfig(u_cardinality_max=v), "u_cardinality_max", 1, id="SearchConfig.u_cardinality_max"),
     pytest.param(lambda v: SearchConfig(restarts=v), "restarts", 1, id="SearchConfig.restarts"),
@@ -136,6 +151,9 @@ ARGUMENTS = [
     pytest.param(lambda v: Halfspace(v, 0, 1), "halfspace coeff_r1", "", id="Halfspace.coeff_r1"),
     pytest.param(lambda v: Halfspace(1, v, 1), "halfspace coeff_r2", "", id="Halfspace.coeff_r2"),
     pytest.param(lambda v: Halfspace(1, 0, v), "halfspace bound", "", id="Halfspace.bound"),
+    pytest.param(as_rational, "value", None, id="fm.as_rational"),
+    pytest.param(lambda v: verify_hybrid_region_projection(v, 1, 1, 0, 0), "a", None, id="verify_hybrid_region_projection.a"),
+    *(pytest.param(lambda v, key=key: channel_shape(key, v), key, 1, id="parse_channel." + key) for key in SIZES),
 ]
 
 
@@ -143,19 +161,23 @@ ARGUMENTS = [
 def test_every_scalar_argument_follows_the_one_rule(call, what, rule):
     if isinstance(rule, int):
         integer = "%s must be an integer of at least %d, got %%r" % (what, rule)
-        rejected = {v: integer % (v,) for v in (True, "3", math.nan, np.float32(3))}
-        accepted = {np.int64(3): 3}
+        refused = (True, np.True_, "3", np.str_("3"), math.nan, np.float32(3), np.array(3.5), np.array([3, 4]))
+        rejected = [(v, integer % (v,)) for v in refused]
+        accepted = [(np.int64(3), 3), (np.array(3), 3)]
     else:
         real = "%s must be a real number, got %%r" % what
-        rejected = {True: real % True, "3": real % "3"}
-        finite = "%s must be finite%s, got %%s" % (what, rule and " and " + rule)
-        rejected.update({math.nan: finite % "nan", -(10**400): finite % "-inf"})
-        accepted = {np.int64(3): 3, np.float32(1.5): 1.5}
-    for value, message in rejected.items():
+        refused = (True, np.True_, np.False_, "3", np.str_("3"), np.array([1.0, 2.0]))
+        rejected = [(v, real % (v,)) for v in refused]
+        finite = "%s must be finite%s, got %%s" % (what, " and " + rule if rule else "")
+        rejected.append((math.nan, finite % "nan"))
+        if rule is not None:
+            rejected.append((-(10**400), finite % "-inf"))
+        accepted = [(np.int64(3), 3), (np.float32(1.5), 1.5)]
+    for value, message in rejected:
         with pytest.raises(ValidationError) as info:
             call(value)
         assert str(info.value) == message
-    for value, plain in accepted.items():
+    for value, plain in accepted:
         assert call(value) == call(plain)
 
 
