@@ -33,9 +33,13 @@ hybrid searches in one lockstep (``discrete.search_inners``) when both are
 requested.  Each command builds the text of every file before it writes
 the first; a file that cannot be written is a usage error too.
 
-``region gaussian`` also warns, once per pair, when an inner region it
-writes is not inside another region it writes (df inside hybrid, every
-inner inside outer); the files and the exit code stay as they are.
+The bound names are written once: the Gaussian ones are the keys of
+``_GAUSSIAN_REGION_FNS``, the finite-channel inner ones the keys of
+``regions.SUM_CAPS``, and ``outer`` is the one outer bound of either
+source.  ``region gaussian`` also warns, once per pair, when an inner
+region it writes is not inside another region it writes (every inner
+inside every outer, and df inside hybrid); the files and the exit code
+stay as they are.
 
 Exit codes: 0 success, 1 verification or input-data failure (an
 ``fm-verify`` mismatch, an unusable channel file), 2 internal invariant
@@ -86,7 +90,7 @@ from .gaussian import (
     gaussian_outer_region,
     tekin_yener_region,
 )
-from .regions import RateRegion, boundary_samples, is_subset, region_from_halfspaces, region_to_dict
+from .regions import SUM_CAPS, RateRegion, boundary_samples, is_subset, region_from_halfspaces, region_to_dict
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -95,15 +99,17 @@ EXIT_USAGE = 64
 
 OUTPUT_DIR_ENV = "MACWTFB_OUTPUT_DIR"
 
-# Gaussian bounds in file and column order.
+# Gaussian bounds in file and column order.  A plain name -> function
+# dict, so a wrapper can replace a function by its name.
 _GAUSSIAN_REGION_FNS = {
     "df": gaussian_df_region,
     "hybrid": gaussian_hybrid_region,
     "ty": tekin_yener_region,
     "outer": gaussian_outer_region,
 }
-_GAUSSIAN_BOUNDS = tuple(_GAUSSIAN_REGION_FNS)
-_DISCRETE_BOUNDS = ("df", "hybrid", "outer")
+# Finite-channel bounds in file order: the searched inner bounds, then the
+# outer bound.
+_DISCRETE_BOUNDS = (*SUM_CAPS, "outer")
 
 # Power-sweep columns: the CSV header and the JSON row keys.
 _SWEEP_COLUMNS = ("P", "p1_star", "p2_star", "r_sum_star", "regime")
@@ -215,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     gauss.add_argument(
         "--bounds",
         required=True,
-        help="comma-separated subset of %s" % ",".join(_GAUSSIAN_BOUNDS),
+        help="comma-separated subset of %s" % ",".join(_GAUSSIAN_REGION_FNS),
     )
     gauss.add_argument(
         "--samples", type=_int_at_least(1), default=101, help="boundary samples per region (default: 101)"
@@ -381,7 +387,7 @@ def _write_regions(out_dir: Path, regions: dict[str, RateRegion], args) -> int:
 
 
 def _cmd_region_gaussian(args) -> int:
-    bounds = _parse_bounds(args.bounds, _GAUSSIAN_BOUNDS)
+    bounds = _parse_bounds(args.bounds, tuple(_GAUSSIAN_REGION_FNS))
     g = GaussianMacWt(args.p1, args.p2, args.sigma1sq, args.sigma2sq)
     regions = {name: _GAUSSIAN_REGION_FNS[name](g) for name in bounds}
     for problem in _containment_failures(regions):
@@ -411,16 +417,15 @@ def _cmd_region_discrete(args) -> int:
     # search_inner, the one-kind view, because the benchmark's layer spans
     # time and count that function by name.
     if len(inner) > 1:
-        hulls = dict(zip(inner, (result.hull for result in search_inners(kernel, inner, config))))
+        results = search_inners(kernel, inner, config)
     else:
-        hulls = {name: search_inner(kernel, name, config).hull for name in inner}
-    regions = {}
-    for name in bounds:  # filled in bounds order, the order of the files
-        if name == "outer":
-            _, value = search_outer(kernel, config)
-            regions[name] = region_from_halfspaces([(1.0, 1.0, value)])
-        else:
-            regions[name] = hulls[name]
+        results = [search_inner(kernel, name, config) for name in inner]
+    regions = {name: result.hull for name, result in zip(inner, results)}
+    # outer is last in _DISCRETE_BOUNDS, so the regions, and the files, stay
+    # in bounds order
+    if "outer" in bounds:
+        _, value = search_outer(kernel, config)
+        regions["outer"] = region_from_halfspaces([(1.0, 1.0, value)])
     return _write_regions(out_dir, regions, args)
 
 
@@ -440,14 +445,17 @@ def _cmd_powersweep(args) -> int:
 
 
 def _containment_failures(regions: dict[str, RateRegion]) -> list[str]:
-    """Cross-bound containment: df inside hybrid, every inner inside outer."""
-    failures = []
-    pairs = (("df", "hybrid"), ("df", "outer"), ("hybrid", "outer"), ("ty", "outer"))
-    for inner_name, outer_name in pairs:
-        if inner_name in regions and outer_name in regions:
-            if not is_subset(regions[inner_name], regions[outer_name]):
-                failures.append(f"{inner_name} region is not contained in the {outer_name} region")
-    return failures
+    """Cross-bound containment, one message per failing pair in the order
+    of ``regions``: every bound but ``outer`` is an inner one, and every
+    inner region must lie inside every outer one, and df inside hybrid."""
+    return [
+        f"{inner} region is not contained in the {outer} region"
+        for inner in regions
+        for outer in regions
+        if inner != "outer"
+        and (outer == "outer" or (inner == "df" and outer == "hybrid"))
+        and not is_subset(regions[inner], regions[outer])
+    ]
 
 
 def _cmd_figure(args) -> int:

@@ -31,8 +31,10 @@ the winners are merged in restart order.
 Single-letter quantities for one input law come from the channels module;
 the search loop uses a private batched einsum evaluation of the same
 expressions that is pinned to the public one by the test suite.  The
-sum-rate formulas come from the regions module, the one place they are
-written, and score all lanes of a batch at once on the quantity arrays.  The
+inner bound kinds and their sum-rate formulas come from the table
+``regions.SUM_CAPS``, the one place they are written: a kind's formula
+scores all lanes of a batch at once on the quantity arrays, and
+:func:`region_for_input` caps the same formula on one law's quantities.  The
 single-user rates are not separate formulas: they are the two-user sum caps
 of a kernel whose second transmitter has a one-letter alphabet and whose
 auxiliary is constant, so Wyner's I(X;Y) - I(X;Z) is the decode-and-forward
@@ -57,14 +59,13 @@ from .channels import (
     joint_from_input_law,
 )
 from .info import JointDist, conditional_entropy
-from .regions import RateRegion, _df_sum, _hybrid_sum, capped_region, hull_of_regions, is_subset
+from .regions import SUM_CAPS, RateRegion, _df_sum, _hybrid_sum, capped_region, hull_of_regions, is_subset
 
 __all__ = [
     "InnerSearchResult",
     "SearchConfig",
-    "df_region_for_input",
     "feedback_secrecy_capacity",
-    "hybrid_region_for_input",
+    "region_for_input",
     "sato_outer_for_joint",
     "search_inner",
     "search_inners",
@@ -135,17 +136,13 @@ class InnerSearchResult:
 # --- per-distribution regions ---------------------------------------------------
 
 
-def df_region_for_input(q: InfoQuantities) -> RateRegion:
-    """Decode-and-forward inner region of one input law:
-    R1 <= a, R2 <= b, R1 + R2 <= min(c, a + b) - d."""
-    return capped_region(q.a, q.b, _df_sum(q.a, q.b, q.c, q.d, q.e))
-
-
-def hybrid_region_for_input(q: InfoQuantities) -> RateRegion:
-    """Hybrid inner region of one input law: the decode-and-forward shape
-    with the leakage debit partially refunded by the feedback key,
-    R1 + R2 <= min(c, a + b) - d + min(d, e)."""
-    return capped_region(q.a, q.b, _hybrid_sum(q.a, q.b, q.c, q.d, q.e))
+def region_for_input(bound_kind: str, q: InfoQuantities) -> RateRegion:
+    """Inner region of one input law for a kind of ``regions.SUM_CAPS``:
+    R1 <= a, R2 <= b and R1 + R2 <= the kind's sum cap, min(c, a + b) - d
+    for decode-and-forward (``"df"``), plus the feedback key's refund
+    min(d, e) of the leakage debit for ``"hybrid"``."""
+    (kind,) = _checked_kinds((bound_kind,))
+    return capped_region(q.a, q.b, SUM_CAPS[kind](q.a, q.b, q.c, q.d, q.e))
 
 
 def sato_outer_for_joint(kernel: MacWiretapKernel, joint_input: np.ndarray) -> float:
@@ -193,15 +190,8 @@ def search_inners(
     on one evaluation of the information quantities, so every result equals
     the one :func:`search_inner` returns for its kind.
     """
-    kinds = tuple(bound_kinds)
-    for kind in kinds:
-        if kind not in _BOUND_KINDS:
-            raise ValidationError(
-                "bound_kind must be one of %s, got %r" % (list(_BOUND_KINDS), kind)
-            )
-    if not kinds or len(set(kinds)) != len(kinds):
-        raise ValidationError("bound_kinds must be distinct and not empty, got %r" % (kinds,))
-    caps = [_BOUNDS[kind][0] for kind in kinds]
+    kinds = _checked_kinds(bound_kinds)
+    caps = [SUM_CAPS[kind] for kind in kinds]
     w = kernel.transition
     n1, n2 = kernel.x1_size, kernel.x2_size
 
@@ -213,7 +203,7 @@ def search_inners(
     found: list[list[tuple[InputFactorization, RateRegion]]] = [[] for _ in kinds]
     for u_size in range(1, config.u_cardinality_max + 1):
         streams = [
-            (_INNER_STREAM, _BOUND_KINDS.index(kind), u_size, score_id)
+            (_INNER_STREAM, list(SUM_CAPS).index(kind), u_size, score_id)
             for kind in kinds
             for score_id in range(3)
         ]
@@ -221,8 +211,7 @@ def search_inners(
         best = _best_of_restarts(shapes, streams, objective, config)
         for s, (_, (u, x1, x2)) in enumerate(best):
             fact = InputFactorization(u[0], x1, x2)
-            region_of = _BOUNDS[kinds[s // 3]][1]
-            found[s // 3].append((fact, region_of(info_quantities(kernel, fact))))
+            found[s // 3].append((fact, region_for_input(kinds[s // 3], info_quantities(kernel, fact))))
     kept = [_nondominated(kind_found) for kind_found in found]
     return tuple(
         InnerSearchResult(candidates=tuple(k), hull=hull_of_regions([region for _, region in k]))
@@ -282,13 +271,16 @@ def feedback_secrecy_capacity(
 # --- search internals ---------------------------------------------------------------
 
 
-# Per inner bound: its sum-rate formula and its per-input region.
-_BOUNDS = {
-    "df": (_df_sum, df_region_for_input),
-    "hybrid": (_hybrid_sum, hybrid_region_for_input),
-}
-# A bound's index here is part of its RNG stream key.
-_BOUND_KINDS = tuple(_BOUNDS)
+def _checked_kinds(bound_kinds: Sequence[str]) -> tuple[str, ...]:
+    """``bound_kinds`` as a tuple, once each is a kind of ``SUM_CAPS`` and
+    none repeats; a kind's stream key is its position in that table."""
+    kinds, known = tuple(bound_kinds), list(SUM_CAPS)
+    for kind in kinds:
+        if kind not in known:
+            raise ValidationError("bound_kind must be one of %s, got %r" % (known, kind))
+    if not kinds or len(set(kinds)) != len(kinds):
+        raise ValidationError("bound_kinds must be distinct and not empty, got %r" % (kinds,))
+    return kinds
 
 
 def _entropy_bits(*masses: np.ndarray) -> np.ndarray:

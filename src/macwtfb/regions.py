@@ -10,8 +10,11 @@ canonicalizes to the degenerate region {(0, 0)}.
 Every inner region of the package has one shape, built by
 ``capped_region``: an individual cap on each rate plus a cap on their sum.
 The finite-channel sum caps are written once, here, as ``_df_sum`` and
-``_hybrid_sum`` of the information quantities: the discrete search scores
-them on arrays and ``fm`` certifies them on Fractions.
+``_hybrid_sum`` of the information quantities, and ``SUM_CAPS`` names them:
+its keys are the inner bounds of a finite channel, in file order.  The
+discrete search scores the caps on arrays, and ``fm`` evaluates
+``_hybrid_sum`` on the integer numerators of constants over one common
+denominator.
 
 All comparisons use the absolute tolerance TOL = 1e-9.
 
@@ -259,7 +262,7 @@ def capped_region(r1_cap: float, r2_cap: float, sum_cap: float) -> RateRegion:
 def _df_sum(a, b, c, d, e, minimum=min):
     """Decode-and-forward sum-rate cap min(c, a + b) - d.
 
-    ``minimum`` is ``min`` for floats and Fractions (exact on Fractions) and
+    ``minimum`` is ``min`` for scalars (exact on integers) and
     ``np.minimum`` for arrays that hold one quantity per search lane."""
     return minimum(c, a + b) - d
 
@@ -269,9 +272,15 @@ def _hybrid_sum(a, b, c, d, e, minimum=min):
     key refund min(d, e), by which the feedback key rate e partly repays the
     leakage debit d.
 
-    ``minimum`` is ``min`` for floats and Fractions (exact on Fractions) and
+    ``minimum`` is ``min`` for scalars (exact on integers) and
     ``np.minimum`` for arrays that hold one quantity per search lane."""
     return _df_sum(a, b, c, d, e, minimum) + minimum(d, e)
+
+
+# The inner bounds of a finite channel and their sum caps, in file order.
+# A name's position here is part of the discrete search's RNG stream key
+# (df 0, hybrid 1): reordering the table changes every searched region.
+SUM_CAPS = {"df": _df_sum, "hybrid": _hybrid_sum}
 
 
 def contains(region: RateRegion, point) -> bool:

@@ -27,9 +27,8 @@ from macwtfb.channels import (
 from macwtfb.cli import _fm_cases
 from macwtfb.discrete import (
     SearchConfig,
-    df_region_for_input,
     feedback_secrecy_capacity,
-    hybrid_region_for_input,
+    region_for_input,
     search_inner,
     search_outer,
     wyner_capacity,
@@ -224,7 +223,7 @@ def test_criterion_6_discrete_consistency_suite():
                 assert x + y <= outer_value + 1e-6
             for inputs, _ in result.candidates:
                 q = info_quantities(kernel, inputs)
-                assert is_subset(df_region_for_input(q), hybrid_region_for_input(q))
+                assert is_subset(region_for_input("df", q), region_for_input("hybrid", q))
         for inputs in (
             uniform_factorization(2, 2, 2),
             InputFactorization(

@@ -364,6 +364,24 @@ def test_containment_gate_flags_a_violation():
     ]
     assert _containment_failures({"df": small, "hybrid": big, "outer": big, "ty": small}) == []
     assert EXIT_INVARIANT == 2
+    # The pairs are derived from the roles: every bound but outer is inner,
+    # each inner must lie inside outer, and df inside hybrid too.  With all
+    # four Gaussian regions failing, the messages come in bounds order, the
+    # order region gaussian and figure print them on stderr.
+    tiny = region_from_halfspaces([(1.0, 1.0, 0.5)])
+    failing = {"df": big, "hybrid": small, "ty": big, "outer": tiny}
+    expected = [
+        "df region is not contained in the hybrid region",
+        "df region is not contained in the outer region",
+        "hybrid region is not contained in the outer region",
+        "ty region is not contained in the outer region",
+    ]
+    assert _containment_failures(failing) == expected
+    # another key order checks the same pairs; ty, outside hybrid here, is
+    # never checked against it
+    assert sorted(_containment_failures(dict(reversed(failing.items())))) == expected
+    # outer, outside every other region here, is never checked as an inner one
+    assert _containment_failures({"outer": big, "df": small, "hybrid": small, "ty": small}) == []
 
 
 def _big_df_region(g):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from macwtfb import ValidationError
+from macwtfb import ValidationError, cli
 from macwtfb.channels import (
     InfoQuantities,
     MacWiretapKernel,
@@ -18,9 +18,8 @@ from macwtfb.channels import (
 )
 from macwtfb.discrete import (
     SearchConfig,
-    df_region_for_input,
     feedback_secrecy_capacity,
-    hybrid_region_for_input,
+    region_for_input,
     sato_outer_for_joint,
     search_inner,
     search_inners,
@@ -28,8 +27,6 @@ from macwtfb.discrete import (
     wyner_capacity,
 )
 from macwtfb.discrete import (
-    _BOUND_KINDS,
-    _BOUNDS,
     _INNER_STREAM,
     _ascend,
     _best_of_restarts,
@@ -38,7 +35,7 @@ from macwtfb.discrete import (
     _scores,
 )
 from macwtfb.info import JointDist, conditional_entropy, mutual_information
-from macwtfb.regions import Halfspace, _df_sum, _hybrid_sum, is_subset, region_from_halfspaces
+from macwtfb.regions import SUM_CAPS, Halfspace, _df_sum, _hybrid_sum, is_subset, region_from_halfspaces
 
 from oracles import (
     scalar_entropy_bits,
@@ -102,32 +99,32 @@ def blind_single_kernel():
 # --- per-input regions ------------------------------------------------------------
 
 def test_df_region_pentagon():
-    r = df_region_for_input(quantities(1.0, 1.0, 1.5, 0.5, 0.0))
+    r = region_for_input("df", quantities(1.0, 1.0, 1.5, 0.5, 0.0))
     assert r.max_r1() == pytest.approx(1.0, abs=1e-12)
     assert r.max_r2() == pytest.approx(1.0, abs=1e-12)
     assert r.max_sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_df_region_degenerate_when_leakage_dominates():
-    r = df_region_for_input(quantities(1.0, 1.0, 1.5, 1.6, 0.0))
+    r = region_for_input("df", quantities(1.0, 1.0, 1.5, 1.6, 0.0))
     assert r.is_degenerate
 
 
 def test_df_region_zero_leakage_is_plain_mac_shape():
-    r = df_region_for_input(quantities(1.0, 1.0, 1.5, 0.0, 0.0))
+    r = region_for_input("df", quantities(1.0, 1.0, 1.5, 0.0, 0.0))
     assert r.max_sum() == pytest.approx(1.5, abs=1e-12)
 
 
 def test_hybrid_region_values():
     q = quantities(1.0, 1.0, 1.5, 0.5, 0.2)
-    assert hybrid_region_for_input(q).max_sum() == pytest.approx(1.2, abs=1e-12)
+    assert region_for_input("hybrid", q).max_sum() == pytest.approx(1.2, abs=1e-12)
     full = quantities(1.0, 1.0, 1.5, 0.5, 0.7)
-    assert hybrid_region_for_input(full).max_sum() == pytest.approx(1.5, abs=1e-12)
+    assert region_for_input("hybrid", full).max_sum() == pytest.approx(1.5, abs=1e-12)
 
 
 def test_hybrid_equals_df_without_key_material():
     q = quantities(0.8, 0.6, 1.1, 0.3, 0.0)
-    assert hybrid_region_for_input(q).vertices == df_region_for_input(q).vertices
+    assert region_for_input("hybrid", q).vertices == region_for_input("df", q).vertices
 
 
 @settings(max_examples=80, deadline=None)
@@ -141,7 +138,7 @@ def test_hybrid_equals_df_without_key_material():
 @example(a=1.0, b=2.2250738585072014e-308, c=0.0, d=1e-09, e=0.0)
 def test_df_inside_hybrid(a, b, c, d, e):
     q = quantities(a, b, c, d, e)
-    assert is_subset(df_region_for_input(q), hybrid_region_for_input(q))
+    assert is_subset(region_for_input("df", q), region_for_input("hybrid", q))
 
 
 # --- outer bound for a fixed joint -------------------------------------------------
@@ -243,6 +240,26 @@ def test_joint_inner_search_equals_the_one_kind_searches(n1, umax, restarts):
 def test_joint_inner_search_rejects_bad_kinds(kinds):
     with pytest.raises(ValidationError):
         search_inners(xor_blind_kernel(), kinds, FAST)
+
+
+@pytest.mark.parametrize("kind", ["outer", "ty", ""])
+def test_region_for_input_rejects_what_the_search_rejects(kind):
+    with pytest.raises(ValidationError) as searched:
+        search_inner(xor_blind_kernel(), kind, FAST)
+    with pytest.raises(ValidationError) as per_input:
+        region_for_input(kind, quantities(1.0, 1.0, 1.5, 0.5, 0.2))
+    assert str(per_input.value) == str(searched.value)
+    assert str(per_input.value) == "bound_kind must be one of ['df', 'hybrid'], got %r" % kind
+
+
+def test_bound_table_order_is_the_stream_key():
+    # A kind's position in regions.SUM_CAPS is part of its restarts' RNG
+    # stream key (_INNER_STREAM, position, |U|, objective), and the CLI
+    # writes the discrete files in the same order.  Reordering SUM_CAPS
+    # changes every discrete golden.
+    assert SUM_CAPS == {"df": _df_sum, "hybrid": _hybrid_sum}
+    assert {kind: list(SUM_CAPS).index(kind) for kind in SUM_CAPS} == {"df": 0, "hybrid": 1}
+    assert cli._DISCRETE_BOUNDS == ("df", "hybrid", "outer")
 
 
 def test_inner_vertices_inside_searched_outer():
@@ -544,7 +561,7 @@ def test_inner_search_objective_equals_the_scalar_oracle(n1):
     kernel = random_kernel(np.random.default_rng(43 + n1), n1, 2, 2, 2)
     w = kernel.transition
     for kinds in (("df",), ("hybrid",), ("df", "hybrid")):
-        caps = [_BOUNDS[kind][0] for kind in kinds]
+        caps = [SUM_CAPS[kind] for kind in kinds]
         winners = [[] for _ in kinds]
 
         def objective(ids, u, x1, x2):
@@ -554,7 +571,7 @@ def test_inner_search_objective_equals_the_scalar_oracle(n1):
         for u_size in range(1, FAST.u_cardinality_max + 1):
             shapes = [(1, u_size), (u_size, n1), (u_size, 2)]
             streams = [
-                (_INNER_STREAM, _BOUND_KINDS.index(kind), u_size, score_id)
+                (_INNER_STREAM, list(SUM_CAPS).index(kind), u_size, score_id)
                 for kind in kinds
                 for score_id in range(3)
             ]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from macwtfb import cli, fm
 from macwtfb.channels import InfoQuantities
-from macwtfb.discrete import hybrid_region_for_input
+from macwtfb.discrete import region_for_input
 from macwtfb.fm import (
     _PROJECTED_RATE_SPLIT_ROWS,
     RATE_SPLIT_VARIABLES,
@@ -528,7 +528,7 @@ def test_closed_form_system_matches_searched_hybrid_region(a, b, c, d, e):
     # degenerate float region.
     denominator, consts = _information_constants(a, b, c, d, e)
     exact = exact_vertices(denominator, _closed_form_rows(*consts))
-    region = hybrid_region_for_input(InfoQuantities(a, b, c, d, e, 0.0))
+    region = region_for_input("hybrid", InfoQuantities(a, b, c, d, e, 0.0))
     if not exact:
         assert region.is_degenerate
         return
