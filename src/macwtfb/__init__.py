@@ -24,7 +24,9 @@ A module either imports numpy at the top or never imports it.
 Gaussian closed forms, the power sweeps and the exact checks run without
 loading numpy.
 Their value types are immutable named tuples, not data classes, so that
-they load no ``inspect`` either.
+they load no ``inspect`` either.  The private ``_draws``, which only
+``discrete`` imports, draws the search's restart laws on Python numbers:
+the bits of numpy's generator, without importing it.
 """
 
 import importlib

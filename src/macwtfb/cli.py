@@ -49,8 +49,12 @@ Only ``region discrete`` loads numpy.  At the top this module imports
 only the numpy-free ``gaussian`` and ``regions``; every module that
 computes with arrays imports numpy at its own top and is imported inside
 the handlers that need it.  ``region discrete`` imports ``channels`` and
-``discrete`` (the search works on arrays).  ``powersweep`` and
-``figure --which 4|5`` import ``power``, which computes on ``math``.
+``discrete`` (the search works on arrays), and ``discrete`` imports the
+numpy-free ``_draws``, which draws the restart laws, so that no command
+loads numpy's generator subpackage, ``secrets`` or ``hashlib`` unless
+``import numpy`` does, as numpy 1.x does and numpy 2.4 does not.
+``powersweep`` and ``figure --which 4|5`` import ``power``, which computes
+on ``math``.
 ``region gaussian``, ``powersweep``, ``figure`` and ``fm-verify`` run on
 the closed forms and on exact integer arithmetic and load neither numpy
 nor ``info`` and ``channels``, which saves most of a short command's

@@ -8,7 +8,12 @@ concave in P(y, z); the search does not use that.  Every maximization here
 is a seeded multi-start projected coordinate ascent on simplex blocks, and
 its value is the best one found: an honest, reproducible lower bound on
 the true supremum.  Results are deterministic functions of the kernel,
-the configuration and the seed.
+the configuration and the seed.  Every restart but the first starts from
+flat-Dirichlet rows that the package's ``_draws`` module draws on Python
+numbers: the bits of numpy's ``default_rng(key).dirichlet``, without
+importing numpy's generator subpackage (numpy 1.x still loads it with
+``import numpy``), so the starts depend on this package's code and not on
+numpy's release.
 
 The restarts run in lockstep.  A *lane* is one independent ascent, one
 (objective, restart) pair: an inner search has three objectives per bound
@@ -50,6 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import ValidationError, _integer
+from ._draws import flat_dirichlet
 from .channels import (
     InfoQuantities,
     InputFactorization,
@@ -111,7 +117,8 @@ class SearchConfig:
     restart.  All four are integers by the package's argument rule, at least
     1 except ``seed``, which is at least 0.  The step schedule within a
     restart is fixed by the module constants ``_INITIAL_STEP``,
-    ``_STEP_DECAY`` and ``_DECAY_PATIENCE``.
+    ``_STEP_DECAY`` and ``_DECAY_PATIENCE``.  Each field keeps its value as
+    a Python ``int``, so a numpy integer seed keys the draws as its int.
     """
 
     u_cardinality_max: int = 4
@@ -121,7 +128,8 @@ class SearchConfig:
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            _integer(getattr(self, field.name), field.name, 0 if field.name == "seed" else 1)
+            value = _integer(getattr(self, field.name), field.name, 0 if field.name == "seed" else 1)
+            object.__setattr__(self, field.name, value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -376,8 +384,9 @@ def _best_of_restarts(
     ascends objective s (keyed ``streams[s]``) from restart r's start, for
     R = ``config.restarts``.  Restart 0 starts from uniform rows; restart
     ``r > 0`` draws every row from a flat Dirichlet, block by block and row
-    by row, with the generator keyed ``(seed, *streams[s], r)``, so it does
-    not depend on how many restarts run.  ``objective(ids, *blocks)`` scores
+    by row, with ``_draws.flat_dirichlet`` keyed ``(seed, *streams[s], r)``,
+    the rows numpy's ``default_rng(key).dirichlet`` draws, so it does not
+    depend on how many restarts run.  ``objective(ids, *blocks)`` scores
     a batch of lanes: ``ids`` holds each lane's objective index and block
     ``(k, n)`` arrives as one ``(lanes, k, n)`` array; it returns one value
     per lane.  Lanes do not interact, so each one ends exactly where its
@@ -388,8 +397,7 @@ def _best_of_restarts(
     for stream in streams:
         starts.append([np.full((k, n), 1.0 / n) for k, n in shapes])
         for restart in range(1, restarts):
-            rng = np.random.default_rng((config.seed, *stream, restart))
-            starts.append([rng.dirichlet(np.ones(n), size=k) for k, n in shapes])
+            starts.append([np.array(rows) for rows in flat_dirichlet((config.seed, *stream, restart), shapes)])
     blocks = [np.stack(block) for block in zip(*starts)]
     values = _ascend(blocks, np.repeat(np.arange(len(streams)), restarts), objective, config)
     best = []

@@ -10,7 +10,10 @@ pinned goldens: ``scalar_factorized_quantities`` scores one input law,
 ``scalar_entropy_bits`` is its entropy, ``scalar_scores`` scores each lane
 on Python floats, and ``sequential_best_of_restarts`` runs the restarts of
 one objective one after another with ``sequential_ascend``.  The batched
-search must match them bit for bit.
+search must match them bit for bit.  The sequential search still draws
+its restart rows with numpy's ``default_rng(key).dirichlet``, while the
+package draws them with its own ``macwtfb._draws``, so the match also
+checks that module against numpy's generator.
 
 The ``Fraction`` Fourier-Motzkin steps below are the exact elimination as
 it was before it ran on integer rows, kept verbatim as the ``==``

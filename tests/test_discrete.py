@@ -838,3 +838,13 @@ def test_config_validation():
             with pytest.raises(ValidationError):
                 SearchConfig(**{name: bad})
     assert SearchConfig(restarts=np.int64(2), seed=np.uint32(7)).restarts == 2
+
+
+def test_numpy_integer_config_searches_as_its_ints():
+    """The fields keep Python ints, so a numpy seed keys the draws as its int."""
+    ints = SearchConfig(restarts=2, refinement_iterations=3, seed=7)
+    numpys = SearchConfig(restarts=np.int64(2), refinement_iterations=np.int64(3), seed=np.uint32(7))
+    assert numpys == ints and all(type(value) is int for value in dataclasses.astuple(numpys))
+    joint, value = search_outer(xor_blind_kernel(), numpys)
+    expected_joint, expected_value = search_outer(xor_blind_kernel(), ints)
+    assert joint.mass.tobytes() == expected_joint.mass.tobytes() and value == expected_value

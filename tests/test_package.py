@@ -1,6 +1,8 @@
 """The package root exports what the README's library example imports,
 every command but ``region discrete`` runs without loading numpy or
-``dataclasses``,
+``dataclasses``, ``region discrete`` draws its restarts without loading
+numpy's generator subpackage or ``hashlib`` where ``import numpy`` does
+not load them,
 ``json`` loads only when a command needs it, only fm-verify loads the
 elimination module, and every scalar argument of the library follows the
 one argument rule defined beside ``ValidationError``, which refuses
@@ -51,7 +53,8 @@ def test_readme_imports_are_exported_from_the_package_root():
 _IMPORT_RULE_SCRIPT = """
 import sys
 
-WATCHED = ("numpy", "macwtfb.fm", "macwtfb.info", "macwtfb.channels", "dataclasses", "inspect", "json", "numbers")
+WATCHED = ("numpy", "macwtfb.fm", "macwtfb.info", "macwtfb.channels", "dataclasses", "inspect", "json", "numbers",
+           "numpy.random", "hashlib")
 
 def record(step, code=0):
     print(repr([step, code, *(name in sys.modules for name in WATCHED)]))
@@ -72,6 +75,9 @@ for step, argv in (
     ("powersweep --format json", [*powersweep, "--format", "json"]),
     ("region discrete", ["region", "discrete", "--channel", channel, "--bounds", "df,outer",
                          "--umax", "1", "--restarts", "1", "--iterations", "2"]),
+    # restart 1 draws its start rows
+    ("region discrete --restarts 2", ["region", "discrete", "--channel", channel, "--bounds", "df,outer",
+                                      "--umax", "1", "--restarts", "2", "--iterations", "2"]),
 ):
     record(step, cli.main([*argv, "--output-dir", out]))
 from macwtfb import optimal_power, search_inner
@@ -79,9 +85,16 @@ record("from macwtfb import search_inner, optimal_power")
 """
 
 
+# What ``import numpy`` alone loads of the draws' two watched modules:
+# numpy 1.x imports its generator, and with it ``hashlib``, at the top;
+# newer numpy loads ``numpy.random`` on first use.
+_NUMPY_ALONE_SCRIPT = "import sys, numpy; print(repr(['numpy.random' in sys.modules, 'hashlib' in sys.modules]))"
+
+
 def test_closed_form_commands_never_import_numpy(tmp_path):
     """Nor ``dataclasses`` and with it ``inspect``; ``json`` loads only
-    for JSON output or a channel file."""
+    for JSON output or a channel file, and ``numpy.random`` and ``hashlib``
+    only if ``import numpy`` alone loads them."""
     channel = tmp_path / "channel.json"
     doc = {"x1_size": 1, "x2_size": 1, "y_size": 1, "z_size": 1, "transition": [[[[1.0]]]]}
     channel.write_text(json.dumps(doc), encoding="utf-8")
@@ -95,19 +108,22 @@ def test_closed_form_commands_never_import_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     records = [ast.literal_eval(line) for line in proc.stdout.splitlines() if line.startswith("[")]
-    # numpy, fm, info, channels, dataclasses, inspect, json, numbers
+    alone = subprocess.run([sys.executable, "-c", _NUMPY_ALONE_SCRIPT], capture_output=True, text=True, check=True)
+    random, hashlib = ast.literal_eval(alone.stdout)
+    # numpy, fm, info, channels, dataclasses, inspect, json, numbers, numpy.random, hashlib
     assert records == [
-        ["import macwtfb.cli", 0, False, False, False, False, False, False, False, False],
-        ["region gaussian", 0, False, False, False, False, False, False, False, False],
-        ["figure --which 2", 0, False, False, False, False, False, False, False, False],
-        ["powersweep", 0, False, False, False, False, False, False, False, False],
-        ["figure --which 4", 0, False, False, False, False, False, False, False, False],
-        ["figure --which 5", 0, False, False, False, False, False, False, False, False],
-        ["fm-verify", 0, False, True, False, False, False, False, False, True],
-        ["region gaussian --format json", 0, False, True, False, False, False, False, True, True],
-        ["powersweep --format json", 0, False, True, False, False, False, False, True, True],
-        ["region discrete", 0, True, True, True, True, True, True, True, True],
-        ["from macwtfb import search_inner, optimal_power", 0, True, True, True, True, True, True, True, True],
+        ["import macwtfb.cli", 0, False, False, False, False, False, False, False, False, False, False],
+        ["region gaussian", 0, False, False, False, False, False, False, False, False, False, False],
+        ["figure --which 2", 0, False, False, False, False, False, False, False, False, False, False],
+        ["powersweep", 0, False, False, False, False, False, False, False, False, False, False],
+        ["figure --which 4", 0, False, False, False, False, False, False, False, False, False, False],
+        ["figure --which 5", 0, False, False, False, False, False, False, False, False, False, False],
+        ["fm-verify", 0, False, True, False, False, False, False, False, True, False, False],
+        ["region gaussian --format json", 0, False, True, False, False, False, False, True, True, False, False],
+        ["powersweep --format json", 0, False, True, False, False, False, False, True, True, False, False],
+        ["region discrete", 0, True, True, True, True, True, True, True, True, random, hashlib],
+        ["region discrete --restarts 2", 0, True, True, True, True, True, True, True, True, random, hashlib],
+        ["from macwtfb import search_inner, optimal_power", 0, True, True, True, True, True, True, True, True, random, hashlib],
     ], proc.stderr
 
 
