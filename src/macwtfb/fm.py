@@ -191,7 +191,7 @@ def exact_vertices(denominator: int, rows: Iterable[IntRow]) -> tuple[tuple[Frac
     bounded).  ``denominator`` must be an integer of at least 1 and every
     row must have two coefficients, or ``ValidationError`` is raised.
     """
-    _integer(denominator, "denominator", 1)
+    denominator = _integer(denominator, "denominator", 1)
     rows = list(rows)
     for coeffs, _ in rows:
         if len(coeffs) != 2:
@@ -218,7 +218,7 @@ def exact_vertices(denominator: int, rows: Iterable[IntRow]) -> tuple[tuple[Frac
             points.add((x // g, y // g, m // g))
     scale = math.lcm(*(m for _, _, m in points))
     hull = _hull_ccw([(x * scale // m, y * scale // m) for x, y, m in points], 0)
-    den = scale * int(denominator)
+    den = scale * denominator
     return tuple((_fraction(x, den), _fraction(y, den)) for x, y in hull)
 
 

@@ -11,9 +11,13 @@ min{ h(N1), 1/2 log2(1 + (p1+p2)/sigma2_sq) } to the sum cap, where h(N1) is
 the differential entropy of the main noise; both closed forms are evaluated
 at the full-power, fully-correlated-auxiliary operating point. Full power does
 not always maximize them: when sigma1_sq > sigma2_sq the hybrid sum cap peaks
-at a finite total power (see power.optimal_power). The outer bound caps the
-secret sum rate through the conditional entropy h(Y|Z) of jointly Gaussian
-outputs.
+at a finite total power (see power.optimal_power), which takes every rate
+it reports from the closed forms here. The outer bound caps the secret sum
+rate through the conditional entropy h(Y|Z) of jointly Gaussian outputs.
+
+``MIN_SIGMA1_SQ`` = 1/(2 pi e) is the one floor of the main-noise variance:
+below it h(N1) is negative, ``gaussian_hybrid_region`` warns and ``power``
+refuses the variance.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ from . import ValidationError, _real
 from .regions import RateRegion, capped_region, region_from_halfspaces
 
 TWO_PI_E = 2.0 * math.pi * math.e
+
+#: Least main-channel noise variance, 1/(2*pi*e), at which h(N1) is nonnegative.
+MIN_SIGMA1_SQ = 1.0 / TWO_PI_E
 
 
 class _GaussianFields(NamedTuple):
@@ -92,11 +99,14 @@ def gaussian_df_region(g: GaussianMacWt) -> RateRegion:
 def gaussian_hybrid_region(g: GaussianMacWt) -> RateRegion:
     """Hybrid inner bound region: decode-and-forward plus a fed-back secret key.
 
-    For sigma1_sq < 1/(2 pi e) the key-rate term h(N1) is negative and the
-    closed form is evaluated literally; a RuntimeWarning flags the result
-    since the region is then smaller than decode-and-forward alone.
+    For sigma1_sq < MIN_SIGMA1_SQ = 1/(2 pi e) the key-rate term h(N1) is
+    negative and the closed form is evaluated literally; a RuntimeWarning
+    flags the result since the region is then smaller than
+    decode-and-forward alone.  Comparing the variance with the floor agrees
+    with the sign of h(N1) on every float: fl(2 pi e sigma1_sq) is monotone
+    in sigma1_sq, 1.0 at the floor and below 1.0 one float under it.
     """
-    if gaussian_diff_entropy(g.sigma1_sq) < 0.0:
+    if g.sigma1_sq < MIN_SIGMA1_SQ:
         warnings.warn(
             "main-noise differential entropy is negative "
             f"(sigma1_sq={g.sigma1_sq!r} < 1/(2 pi e)); the hybrid sum bound "

@@ -2,22 +2,25 @@
 
 The secrecy sum rate under a common average-power cap is piecewise in the
 total transmit power: below a breakpoint it is the main-channel capacity
-term alone, above it the eavesdropper's capacity term is debited and the
-feedback key term saturates.  The maximizer has a closed form; this module
-implements it and a sweep helper that tabulates the optimum as a function
-of the power cap.
+term alone, above it the hybrid sum cap of ``gaussian``, where the
+eavesdropper's capacity term is debited and the feedback key term
+saturates at h(N1).  The maximizer has a closed form; this module keeps
+only the breakpoint and the rule that splits its two sides, takes every
+rate from ``gaussian``'s closed forms, and adds a sweep helper that
+tabulates the optimum as a function of the power cap.
 
 All rates are in bits.  The closed form is only meaningful when the
 per-transmitter saturation power (2*pi*e*sigma1_sq - 1)*sigma2_sq/2 is
-nonnegative, i.e. sigma1_sq >= 1/(2*pi*e); smaller main-channel variances
-are rejected rather than silently extrapolated.  So are variances whose
-breakpoint (2*pi*e*sigma1_sq - 1)*sigma2_sq is nonzero but subnormal: there
-the breakpoint keeps too few bits for the two branches to agree on it.
+nonnegative, i.e. sigma1_sq >= MIN_SIGMA1_SQ = 1/(2*pi*e), the floor
+``gaussian`` defines; smaller main-channel variances are rejected rather
+than silently extrapolated.  So are variances whose breakpoint
+(2*pi*e*sigma1_sq - 1)*sigma2_sq is nonzero but subnormal: there the
+breakpoint keeps too few bits for the two branches to agree on it.
 
 The module imports nothing beyond the standard library and ``gaussian``:
-its rates are ``gaussian``'s closed forms, on the C library's ``log2``, and
-its result record is an immutable named tuple, so ``powersweep`` and
-``figure --which 4|5`` start like ``region gaussian``.
+its rates are computed on the C library's ``log2``, and its result record
+is an immutable named tuple, so ``powersweep`` and ``figure --which 4|5``
+start like ``region gaussian``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import sys
 from typing import NamedTuple
 
 from . import ValidationError, _integer, _real
-from .gaussian import TWO_PI_E, GaussianMacWt, _cap, df_sum_bound, gaussian_diff_entropy
+from .gaussian import MIN_SIGMA1_SQ, TWO_PI_E, GaussianMacWt, _cap, hybrid_sum_bound
 
 __all__ = [
     "ABOVE_THRESHOLD",
@@ -38,9 +41,6 @@ __all__ = [
     "sum_rate",
     "sweep",
 ]
-
-#: Smallest admissible main-channel noise variance, 1/(2*pi*e).
-MIN_SIGMA1_SQ = 1.0 / TWO_PI_E
 
 BELOW_THRESHOLD = "below_threshold"
 ABOVE_THRESHOLD = "above_threshold"
@@ -90,36 +90,51 @@ def sum_rate(p1: float, p2: float, g: GaussianMacWt) -> float:
 
     Piecewise in the total t = p1 + p2 with breakpoint
     (2*pi*e*sigma1_sq - 1)*sigma2_sq: below it the rate is
-    log2(1 + t/sigma1_sq)/2, above it the eavesdropper term
-    log2(1 + t/sigma2_sq)/2 is subtracted and the constant
-    log2(2*pi*e*sigma1_sq)/2 added.  The two branches agree at the
+    log2(1 + t/sigma1_sq)/2, above it ``gaussian.hybrid_sum_bound`` of the
+    pair, whose key term min{h(N1), log2(1 + t/sigma2_sq)/2} is there
+    h(N1) = log2(2*pi*e*sigma1_sq)/2.  The two branches agree at the
     breakpoint, so the function is continuous.  A negative or non-finite
     power, or a total that overflows once divided by a noise variance, is
     a ValidationError.
+
+    The min picks h(N1) in floats too, so above the breakpoint the rate is
+    df_sum_bound + h(N1) bit for bit, when x = fl(2*pi*e*sigma1_sq) is
+    below 2**53.  The computed breakpoint is fl(B*sigma2_sq) with
+    B = fl(x - 1), and B = x - 1 exactly for such x.  Rounding is
+    monotone, so t > fl(B*sigma2_sq) gives fl(t/sigma2_sq) >= B, hence
+    fl(1 + fl(t/sigma2_sq)) >= x, and log2 being monotone, the capacity
+    term is at least h(N1).  For x in [2**53, 2**54) (sigma1_sq between
+    about 5.3e14 and 1.05e15), fl(x - 1) may round down to x - 2, and the
+    capacity term, up to one ulp below h(N1), can win the min.  Below the
+    breakpoint hybrid_sum_bound would compute (c - d) + d, which rounds
+    differently from c, so that side keeps the capacity formula.
     """
     threshold = saturation_threshold(g)  # checks the domain
     pair = GaussianMacWt(p1, p2, g.sigma1_sq, g.sigma2_sq)  # validates the pair and its total
     total = pair.p1 + pair.p2
     if total <= 2.0 * threshold:
         return _cap(total / g.sigma1_sq)
-    return df_sum_bound(pair) + gaussian_diff_entropy(g.sigma1_sq)
+    return hybrid_sum_bound(pair)
 
 
 def optimal_power(power_cap: float, g: GaussianMacWt) -> PowerControlResult:
     """Closed-form maximizer of :func:`sum_rate` over [0, cap]^2.
 
     When sigma1_sq > sigma2_sq the rate peaks at the saturation threshold:
-    both transmitters use min(cap, threshold).  Otherwise the rate is
-    nondecreasing in the total power and the corner (cap, cap) is optimal.
+    both transmitters use the threshold once the cap reaches it.  Otherwise
+    the rate is nondecreasing in the total power and the corner (cap, cap)
+    is optimal.  The reported rate is :func:`sum_rate` at the reported
+    point; at the threshold the total is exactly the breakpoint, so it is
+    the capacity term there.  An optimum whose total power overflows is a
+    ValidationError, as in :func:`sum_rate`.
     """
     threshold = saturation_threshold(g)
     power_cap = _real(power_cap, "power cap", "nonnegative")
     regime = ABOVE_THRESHOLD if power_cap >= threshold else BELOW_THRESHOLD
-    if g.sigma1_sq > g.sigma2_sq and power_cap >= threshold:
-        rate = _cap(2.0 * threshold / g.sigma1_sq)
-        return PowerControlResult(threshold, threshold, rate, regime, threshold)
-    rate = sum_rate(power_cap, power_cap, g)
-    return PowerControlResult(power_cap, power_cap, rate, regime, threshold)
+    # not min(power_cap, threshold): a cap of -0.0 against a zero threshold
+    # would then be reported as -0.0
+    p = threshold if g.sigma1_sq > g.sigma2_sq and power_cap >= threshold else power_cap
+    return PowerControlResult(p, p, sum_rate(p, p, g), regime, threshold)
 
 
 def sweep(

@@ -321,7 +321,7 @@ def boundary_samples(region: RateRegion, count: int) -> list[tuple[float, float]
     Ordered by increasing R1; both endpoints of the chain are included.
     ``count`` is an integer of at least 1 by the package's argument rule.
     """
-    _integer(count, "count", 1)
+    count = _integer(count, "count", 1)
     path = _pareto_path(region)
     seg_len = [math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(path, path[1:])]
     cum = list(itertools.accumulate(seg_len, initial=0.0))

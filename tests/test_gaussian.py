@@ -1,13 +1,15 @@
 """Gaussian closed forms: frozen reference values and structural invariants."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macwtfb import ValidationError
+from macwtfb import ValidationError, gaussian, power
 from macwtfb.gaussian import (
+    MIN_SIGMA1_SQ,
     GaussianMacWt,
     df_sum_bound,
     gaussian_df_region,
@@ -95,6 +97,31 @@ def test_hybrid_warns_below_entropy_floor():
     g = GaussianMacWt(1.0, 1.0, 0.05, 0.5)  # sigma1_sq < 1/(2 pi e)
     with pytest.warns(RuntimeWarning, match="evaluated literally"):
         gaussian_hybrid_region(g)
+
+
+def test_hybrid_warning_floor_is_the_power_domain_floor():
+    # every float within 64 of the floor: the region warns exactly where
+    # power control refuses the variance, and there h(N1) is negative
+    assert power.MIN_SIGMA1_SQ is gaussian.MIN_SIGMA1_SQ
+    s1 = MIN_SIGMA1_SQ
+    for _ in range(64):
+        s1 = math.nextafter(s1, 0.0)
+    verdicts = []
+    for _ in range(129):
+        g = GaussianMacWt(1.0, 1.0, s1, 10.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            gaussian_hybrid_region(g)
+        try:
+            power.saturation_threshold(g)
+            refused = False
+        except ValidationError:
+            refused = True
+        warned = any(issubclass(w.category, RuntimeWarning) for w in caught)
+        assert warned == refused == (gaussian.gaussian_diff_entropy(s1) < 0.0)
+        verdicts.append(warned)
+        s1 = math.nextafter(s1, math.inf)
+    assert verdicts == [True] * 64 + [False] * 65
 
 
 def test_outer_clamped_at_zero():

@@ -6,11 +6,17 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from macwtfb import ValidationError
-from macwtfb.gaussian import TWO_PI_E, GaussianMacWt
+from macwtfb.gaussian import (
+    TWO_PI_E,
+    GaussianMacWt,
+    df_sum_bound,
+    gaussian_diff_entropy,
+    hybrid_sum_bound,
+)
 from macwtfb.power import (
     ABOVE_THRESHOLD,
     BELOW_THRESHOLD,
@@ -135,6 +141,58 @@ def test_reported_rate_matches_sum_rate_at_reported_point(cap, s1, s2):
     assert 0.0 <= res.p2_star <= cap + 1e-12
     assert res.r_sum_star == pytest.approx(sum_rate(res.p1_star, res.p2_star, g), abs=1e-9)
     assert (res.regime == ABOVE_THRESHOLD) == (cap >= res.threshold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(MIN_SIGMA1_SQ, 1e300),
+    st.floats(1e-3, 1e3),
+    st.floats(1.0, 4.0),
+    st.floats(0.0, 1.0),
+)
+@example(5.0, 2.0, 1.0, 1.0)  # the first total above the breakpoint
+@example(MIN_SIGMA1_SQ, 2.0, 1.0, 1.0)  # a zero breakpoint: every positive total is above it
+# fl(2 pi e s1) lies in [2**53, 2**54) and fl(x - 1) rounds to x - 2: here
+# the capacity term is one ulp below h(N1) and wins the hybrid bound's min
+@example(1001558655059978.9, 16.4, 1.0, 1.0)
+def test_sum_rate_above_breakpoint_is_hybrid_sum_bound(s1, s2, scale, share):
+    g = GaussianMacWt(0.0, 0.0, s1, s2)
+    breakpoint_total = 2.0 * saturation_threshold(g)
+    total = math.nextafter(breakpoint_total * scale, math.inf)
+    p1 = total * share
+    p2 = total - p1
+    assume(p1 + p2 > breakpoint_total)
+    pair = GaussianMacWt(p1, p2, s1, s2)
+    rate = sum_rate(p1, p2, g)
+    assert rate == hybrid_sum_bound(pair)
+    if TWO_PI_E * s1 < 2.0**53:
+        # the key term is h(N1) itself, as sum_rate's docstring argues
+        assert rate == df_sum_bound(pair) + gaussian_diff_entropy(s1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1e6), st.floats(MIN_SIGMA1_SQ, 1e6), st.floats(1e-3, 1e6))
+@example(84.397342226735671, 5.0, 2.0)  # a cap next to the threshold of variances (5, 2)
+# a cap of -0.0 against the zero threshold at the floor reports +0.0, which
+# min(cap, threshold) would not
+@example(-0.0, MIN_SIGMA1_SQ, 0.01)
+def test_optimal_power_is_sum_rate_at_its_point(cap, s1, s2):
+    g = GaussianMacWt(0.0, 0.0, s1, s2)
+    threshold = saturation_threshold(g)
+    p = threshold if s1 > s2 and cap >= threshold else cap
+    regime = ABOVE_THRESHOLD if cap >= threshold else BELOW_THRESHOLD
+    res = optimal_power(cap, g)
+    assert res == (p, p, sum_rate(p, p, g), regime, threshold)
+    assert math.copysign(1.0, res.p1_star) == math.copysign(1.0, p)
+
+
+def test_saturated_optimum_whose_total_overflows_rejected():
+    # the threshold is finite, but the optimum's total power, twice it, is not
+    g = GaussianMacWt(0.0, 0.0, 1e290, 1.5e17)
+    threshold = saturation_threshold(g)
+    assert math.isfinite(threshold) and math.isinf(2.0 * threshold)
+    with pytest.raises(ValidationError, match="overflows to infinity"):
+        optimal_power(threshold, g)
 
 
 # --- domain and argument validation --------------------------------------------

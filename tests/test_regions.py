@@ -184,6 +184,13 @@ def test_boundary_samples_triangle_and_degenerate():
         boundary_samples(tri, 0)
 
 
+def test_boundary_samples_numpy_count_gives_python_floats():
+    r = region_from_halfspaces([(1, 0, 0.5), (0, 1, 0.5), (1, 1, 0.661)])
+    pts = boundary_samples(r, np.int64(5))
+    assert pts == boundary_samples(r, 5)
+    assert all(type(c) is float for p in pts for c in p)
+
+
 @pytest.mark.parametrize("count", [2.5, 3.0, True])
 def test_boundary_samples_reject_non_integer_counts(count):
     with pytest.raises(ValidationError, match="count must be an integer"):
