@@ -16,7 +16,11 @@ too) and ``_real`` the float of what has ``__float__`` or ``__index__``
 (numpy's ``float32`` too).  Both reject bools and text, numpy's too, and
 arrays with one or more axes with a ``ValidationError``; ``_real``
 returns a finite float, nonnegative or positive where the caller asks for
-it.  No other module decides what is an integer or a real.
+it.  No other module decides what is an integer or a real: the CLI's
+numeric flags parse their text with ``int`` or ``float`` and pass the value
+to the same rule under the flag's name, so a refused value is a usage
+error such as ``argument --steps: steps must be an integer of at least 2,
+got 1``.
 
 A module either imports numpy at the top or never imports it.
 ``channels``, ``info`` and ``discrete`` compute with arrays and import it;

@@ -41,6 +41,18 @@ region it writes is not inside another region it writes (every inner
 inside every outer, and df inside hybrid); the files and the exit code
 stay as they are.
 
+Flag values are checked while the command line is parsed.  Every numeric
+flag is added by :func:`_add_number`, which parses its text with ``int``
+or ``float`` and passes the value to the package's argument rule,
+``_integer`` or ``_real``, under the flag's name; a refused value is a
+usage error that names the flag, as in ``argument --steps: steps must be
+an integer of at least 2, got 1``.  A count flag's least value is that of
+the library argument it feeds, if any (``SearchConfig``'s fields,
+``sweep``'s steps, ``boundary_samples``' count).  ``--p1``, ``--p2``,
+``--sigma1sq`` and ``--sigma2sq`` are checked there only for finiteness:
+their sign is the library's check, reported like any other
+``ValidationError``.
+
 Exit codes: 0 success, 1 verification or input-data failure (an
 ``fm-verify`` mismatch, an unusable channel file), 2 internal invariant
 violation, 64 usage error.
@@ -79,14 +91,13 @@ from __future__ import annotations
 
 import argparse
 import errno
-import math
 import os
 import sys
 import warnings
 from pathlib import Path
 from typing import Sequence
 
-from . import ValidationError
+from . import ValidationError, _integer, _real
 from .gaussian import (
     GaussianMacWt,
     gaussian_df_region,
@@ -154,36 +165,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
-    return value
+def _add_number(parser: argparse.ArgumentParser, flag: str, kind, *bound, **kwargs) -> None:
+    """Add a numeric ``flag``: its text is parsed by ``kind``, ``int`` or
+    ``float``, and the value checked by the package's argument rule,
+    ``_integer`` or ``_real``, under the flag's name with ``bound`` (an
+    integer's least value, a real's sign)."""
 
-
-def _nonnegative_float(text: str) -> float:
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
-    return value
-
-
-def _int_at_least(lower: int):
-    """argparse type: an integer no smaller than ``lower``."""
-
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if value < lower:
-            raise argparse.ArgumentTypeError(f"must be at least {lower}, got {value}")
-        return value
+            raise argparse.ArgumentTypeError(
+                "%r is not %s" % (text, "an integer" if kind is int else "a number")
+            ) from None
+        try:
+            return (_integer if kind is int else _real)(value, flag[2:], *bound)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-    return parse
+    parser.add_argument(flag, type=parse, **kwargs)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, handler, with_format: bool = True) -> None:
@@ -218,18 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
     region_sub = region.add_subparsers(dest="source", required=True, metavar="source")
 
     gauss = region_sub.add_parser("gaussian", help="closed-form bounds for the scalar Gaussian model")
-    gauss.add_argument("--p1", type=_finite_float, required=True, help="transmitter 1 average power")
-    gauss.add_argument("--p2", type=_finite_float, required=True, help="transmitter 2 average power")
-    gauss.add_argument("--sigma1sq", type=_finite_float, required=True, help="main-channel noise variance")
-    gauss.add_argument("--sigma2sq", type=_finite_float, required=True, help="eavesdropper noise variance")
+    _add_number(gauss, "--p1", float, required=True, help="transmitter 1 average power")
+    _add_number(gauss, "--p2", float, required=True, help="transmitter 2 average power")
+    _add_number(gauss, "--sigma1sq", float, required=True, help="main-channel noise variance")
+    _add_number(gauss, "--sigma2sq", float, required=True, help="eavesdropper noise variance")
     gauss.add_argument(
         "--bounds",
         required=True,
         help="comma-separated subset of %s" % ",".join(_GAUSSIAN_REGION_FNS),
     )
-    gauss.add_argument(
-        "--samples", type=_int_at_least(1), default=101, help="boundary samples per region (default: 101)"
-    )
+    _add_number(gauss, "--samples", int, 1, default=101, help="boundary samples per region (default: 101)")
     _add_common_flags(gauss, _cmd_region_gaussian)
 
     disc = region_sub.add_parser("discrete", help="searched bounds for a finite channel file")
@@ -239,26 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated subset of %s" % ",".join(_DISCRETE_BOUNDS),
     )
-    disc.add_argument(
-        "--samples", type=_int_at_least(1), default=101, help="boundary samples per region (default: 101)"
-    )
-    disc.add_argument("--seed", type=_int_at_least(0), default=0, help="search seed (default: 0)")
-    disc.add_argument(
-        "--umax", type=_int_at_least(1), default=4, help="largest auxiliary cardinality (default: 4)"
-    )
-    disc.add_argument(
-        "--restarts", type=_int_at_least(1), default=64, help="random restarts per objective (default: 64)"
-    )
-    disc.add_argument(
-        "--iterations", type=_int_at_least(1), default=200, help="ascent sweeps per restart (default: 200)"
-    )
+    _add_number(disc, "--samples", int, 1, default=101, help="boundary samples per region (default: 101)")
+    _add_number(disc, "--seed", int, 0, default=0, help="search seed (default: 0)")
+    _add_number(disc, "--umax", int, 1, default=4, help="largest auxiliary cardinality (default: 4)")
+    _add_number(disc, "--restarts", int, 1, default=64, help="random restarts per objective (default: 64)")
+    _add_number(disc, "--iterations", int, 1, default=200, help="ascent sweeps per restart (default: 200)")
     _add_common_flags(disc, _cmd_region_discrete)
 
     psweep = sub.add_parser("powersweep", help="tabulate the optimal power allocation over a cap grid")
-    psweep.add_argument("--pmax", type=_nonnegative_float, required=True, help="largest power cap")
-    psweep.add_argument("--steps", type=_int_at_least(2), required=True, help="number of caps in [0, pmax]")
-    psweep.add_argument("--sigma1sq", type=_finite_float, required=True, help="main-channel noise variance")
-    psweep.add_argument("--sigma2sq", type=_finite_float, required=True, help="eavesdropper noise variance")
+    _add_number(psweep, "--pmax", float, "nonnegative", required=True, help="largest power cap")
+    _add_number(psweep, "--steps", int, 2, required=True, help="number of caps in [0, pmax]")
+    _add_number(psweep, "--sigma1sq", float, required=True, help="main-channel noise variance")
+    _add_number(psweep, "--sigma2sq", float, required=True, help="eavesdropper noise variance")
     _add_common_flags(psweep, _cmd_powersweep)
 
     fig = sub.add_parser(
@@ -278,10 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fm-verify",
         help="check the eliminated rate-splitting system against the closed-form region",
     )
-    fmv.add_argument(
-        "--samples", type=_int_at_least(1), required=True, help="number of random rational instances"
-    )
-    fmv.add_argument("--seed", type=_int_at_least(0), default=0, help="sampling seed (default: 0)")
+    _add_number(fmv, "--samples", int, 1, required=True, help="number of random rational instances")
+    _add_number(fmv, "--seed", int, 0, default=0, help="sampling seed (default: 0)")
     _add_common_flags(fmv, _cmd_fm_verify)
 
     return parser

@@ -129,10 +129,8 @@ def optimal_power(power_cap: float, g: GaussianMacWt) -> PowerControlResult:
     ValidationError, as in :func:`sum_rate`.
     """
     threshold = saturation_threshold(g)
-    power_cap = _real(power_cap, "power cap", "nonnegative")
+    power_cap = _real(power_cap, "power cap", "nonnegative") + 0.0  # adding 0.0 reports a cap of -0.0 as 0.0
     regime = ABOVE_THRESHOLD if power_cap >= threshold else BELOW_THRESHOLD
-    # not min(power_cap, threshold): a cap of -0.0 against a zero threshold
-    # would then be reported as -0.0
     p = threshold if g.sigma1_sq > g.sigma2_sq and power_cap >= threshold else power_cap
     return PowerControlResult(p, p, sum_rate(p, p, g), regime, threshold)
 
@@ -152,7 +150,7 @@ def sweep(
     """
     saturation_threshold(g)  # checks the domain
     div = _integer(steps, "steps", 2) - 1
-    p_max = _real(p_max, "maximum power", "nonnegative")
+    p_max = _real(p_max, "maximum power", "nonnegative") + 0.0  # adding 0.0 turns a -0.0 cap into 0.0
     step = p_max / div
     caps = [i * step if step else i / div * p_max for i in range(div)] + [p_max]
     return [(cap, optimal_power(cap, g)) for cap in caps]

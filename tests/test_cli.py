@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from macwtfb import ValidationError, cli, discrete, fm, power
+from macwtfb import ValidationError, _integer, _real, cli, discrete, fm, power
 from macwtfb.cli import (
     EXIT_FAILURE,
     EXIT_INVARIANT,
@@ -299,7 +299,7 @@ def test_powersweep_negative_pmax_names_the_flag(tmp_path, capsys):
         main(["powersweep", "--pmax", "-1", "--steps", "3", "--sigma1sq", "5", "--sigma2sq", "2", "--output-dir", str(out_dir)])
     assert info.value.code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "macwtfb powersweep: error: argument --pmax: must be nonnegative, got -1" in err
+    assert "macwtfb powersweep: error: argument --pmax: pmax must be finite and nonnegative, got -1.0" in err
     assert "p1 must be" not in err
     assert not out_dir.exists()
 
@@ -311,7 +311,7 @@ def test_powersweep_one_step_names_the_flag(tmp_path, capsys):
     assert info.value.code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage: macwtfb powersweep")
-    assert "macwtfb powersweep: error: argument --steps: must be at least 2, got 1" in err
+    assert "macwtfb powersweep: error: argument --steps: steps must be an integer of at least 2, got 1" in err
     assert "sweep needs" not in err
     assert not out_dir.exists()
 
@@ -323,6 +323,13 @@ def test_powersweep_json_rows(tmp_path):
     doc = json.loads((tmp_path / "powersweep.json").read_text(encoding="utf-8"))
     assert [row["P"] for row in doc["rows"]] == [0.0, 5.0, 10.0]
     assert doc["rows"][0]["r_sum_star"] == 0.0
+
+
+def test_powersweep_negative_zero_pmax_writes_the_zero_pmax_file(tmp_path):
+    flags = ["--steps", "2", "--sigma1sq", "5", "--sigma2sq", "2", "--format", "json"]
+    for pmax in ("0", "-0"):
+        assert main(["powersweep", "--pmax", pmax, *flags, "--output-dir", str(tmp_path / pmax)]) == EXIT_OK
+    assert (tmp_path / "-0" / "powersweep.json").read_bytes() == (tmp_path / "0" / "powersweep.json").read_bytes()
 
 
 # --- figure ---------------------------------------------------------------------
@@ -613,6 +620,50 @@ def test_region_texts_are_built_before_any_file_is_written(tmp_path, capsys, mon
     assert list(tmp_path.glob("region_*")) == []
 
 
+# Every numeric flag, by the command of BAD_DIR_COMMANDS it belongs to:
+# its parse (int or float), the bound the package rule checks it against
+# (an integer's least value, a real's sign), and the library argument it
+# feeds, as a call that takes the flag's value, or None.
+_UNIT_REGION = region_from_halfspaces([(1.0, 1.0, 1.0)])
+NUMBER_FLAGS = [
+    ("region_gaussian", "--p1", float, (), None),
+    ("region_gaussian", "--p2", float, (), None),
+    ("region_gaussian", "--sigma1sq", float, (), None),
+    ("region_gaussian", "--sigma2sq", float, (), None),
+    ("region_gaussian", "--samples", int, (1,), lambda n: boundary_samples(_UNIT_REGION, n)),
+    ("region_discrete", "--samples", int, (1,), lambda n: boundary_samples(_UNIT_REGION, n)),
+    ("region_discrete", "--seed", int, (0,), lambda n: discrete.SearchConfig(seed=n)),
+    ("region_discrete", "--umax", int, (1,), lambda n: discrete.SearchConfig(u_cardinality_max=n)),
+    ("region_discrete", "--restarts", int, (1,), lambda n: discrete.SearchConfig(restarts=n)),
+    ("region_discrete", "--iterations", int, (1,), lambda n: discrete.SearchConfig(refinement_iterations=n)),
+    ("powersweep", "--pmax", float, ("nonnegative",), lambda p: power.sweep(p, 2, GaussianMacWt(1, 1, 5, 2))),
+    ("powersweep", "--steps", int, (2,), lambda n: power.sweep(1.0, n, GaussianMacWt(1, 1, 5, 2))),
+    ("powersweep", "--sigma1sq", float, (), None),
+    ("powersweep", "--sigma2sq", float, (), None),
+    ("fm_verify", "--samples", int, (1,), None),
+    ("fm_verify", "--seed", int, (0,), None),
+]
+
+
+def _flag_values(kind, bound):
+    """The least values a flag accepts and the values next to them that it
+    refuses, as text: a finite-only real has no least value but the least
+    float.  The tests pass them as ``--flag=text``, which argparse never
+    takes for an option, as it does ``-inf``."""
+    if kind is int:
+        return [str(bound[0])], [str(bound[0] - 1)]
+    if bound == ("nonnegative",):
+        return ["0", "-0"], ["-5e-324", "inf", "nan"]
+    return ["-1.7976931348623157e308"], ["-inf", "inf", "nan"]
+
+
+def _rule_message(kind, name, bound, text) -> str:
+    rule = _integer if kind is int else _real
+    with pytest.raises(ValidationError) as info:
+        rule(kind(text), name, *bound)
+    return str(info.value)
+
+
 def test_usage_errors_exit_sixtyfour():
     for argv in (
         [],
@@ -625,6 +676,35 @@ def test_usage_errors_exit_sixtyfour():
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "command, flag, kind, bound, feeds",
+    NUMBER_FLAGS,
+    ids=[f"{command}{flag[1:]}" for command, flag, *_ in NUMBER_FLAGS],
+)
+def test_numeric_flag_follows_the_argument_rule(capsys, command, flag, kind, bound, feeds):
+    argv = BAD_DIR_COMMANDS[command]
+    prog = " ".join(["macwtfb", *argv[: next(i for i, word in enumerate(argv) if word.startswith("--"))]])
+    least, refused = _flag_values(kind, bound)
+    not_parsed = {int: ("1.5", "'1.5' is not an integer"), float: ("x", "'x' is not a number")}[kind]
+    messages = [(text, _rule_message(kind, flag[2:], bound, text)) for text in refused] + [not_parsed]
+    for text, message in messages:
+        with pytest.raises(SystemExit) as info:
+            main([*argv, f"{flag}={text}"])
+        assert info.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {prog} ")
+        assert err.endswith(f"\n{prog}: error: argument {flag}: {message}\n")
+    parser = cli.build_parser()
+    for text in least:
+        assert getattr(parser.parse_args([*argv, f"{flag}={text}"]), flag[2:]) == kind(text)
+    if feeds is not None:  # the flag and its library argument share their least value
+        for text in least:
+            feeds(kind(text))
+        for text in refused:
+            with pytest.raises(ValidationError):
+                feeds(kind(text))
 
 
 def test_float_rendering_normalizes_negative_zero():

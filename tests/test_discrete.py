@@ -141,6 +141,22 @@ def test_df_inside_hybrid(a, b, c, d, e):
     assert is_subset(region_for_input("df", q), region_for_input("hybrid", q))
 
 
+def test_hybrid_strictly_larger_than_df_on_a_noisy_kernel():
+    """The feedback key gains: Y is X1 xor X2 through a BSC(0.1) and Z is
+    Y through a BSC(0.3), so at uniform inputs min(d, e) > 0 and the
+    hybrid sum cap exceeds the df one."""
+    w = np.zeros((2, 2, 2, 2))
+    for x1 in range(2):
+        for x2 in range(2):
+            for y in range(2):
+                for z in range(2):
+                    w[x1, x2, y, z] = (0.9 if y == (x1 + x2) % 2 else 0.1) * (0.7 if z == y else 0.3)
+    q = info_quantities(MacWiretapKernel(w), uniform_factorization(1, 2, 2))
+    df, hybrid = region_for_input("df", q), region_for_input("hybrid", q)
+    assert is_subset(df, hybrid)
+    assert hybrid.max_sum() >= df.max_sum() + 1e-3
+
+
 # --- outer bound for a fixed joint -------------------------------------------------
 
 def test_outer_zero_when_fully_exposed():

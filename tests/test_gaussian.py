@@ -55,6 +55,12 @@ def test_fig2_hybrid_region():
     )
 
 
+def test_fig2_hybrid_strictly_larger_than_df():
+    df, hybrid = gaussian_df_region(FIG2), gaussian_hybrid_region(FIG2)
+    assert is_subset(df, hybrid)
+    assert hybrid.max_sum() >= df.max_sum() + 1e-3
+
+
 def test_fig2_tekin_yener_region():
     r = tekin_yener_region(FIG2)
     assert r.max_r1() == pytest.approx(FIG2_TY_R1, abs=1e-12)

@@ -70,6 +70,14 @@ def test_zero_cap():
     assert res.regime == BELOW_THRESHOLD
 
 
+@pytest.mark.parametrize("g", [NOISY_EVE, NOISY_MAIN], ids=["noisy_eve", "noisy_main"])
+def test_negative_zero_cap_is_reported_as_zero(g):
+    res = optimal_power(-0.0, g)
+    assert math.copysign(1.0, res.p1_star) == math.copysign(1.0, res.p2_star) == 1.0
+    signs = {math.copysign(1.0, v) for cap, res in sweep(-0.0, 3, g) for v in (cap, res.p1_star, res.p2_star)}
+    assert signs == {1.0}
+
+
 def test_noisier_eavesdropper_keeps_corner_when_below_threshold():
     res = optimal_power(50.0, NOISY_EVE)
     assert (res.p1_star, res.p2_star) == (50.0, 50.0)
