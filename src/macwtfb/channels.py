@@ -2,7 +2,10 @@
 
 A discrete two-user wiretap channel is a conditional law P(y, z | x1, x2); the
 legitimate receiver sees Y, the eavesdropper sees Z. Inputs factor through a
-common auxiliary as P(u) P(x1|u) P(x2|u). Channels are numpy arrays; the
+common auxiliary as P(u) P(x1|u) P(x2|u). A single-transmitter channel
+P(y, z | x) is the same kernel with a one-letter X2: ``WiretapKernel`` is a
+``MacWiretapKernel`` whose 4-axis ``transition`` has shape (|X|, 1, |Y|, |Z|),
+so every function here takes it as it is. Channels are numpy arrays; the
 Gaussian model, which needs no arrays, lives in the gaussian module.
 """
 
@@ -20,14 +23,13 @@ from .info import JointDist, check_mass, conditional_entropy, mutual_information
 ROW_SUM_ATOL = 1e-9
 
 
-def _clean_transition(table, n_input_axes: int, what: str) -> np.ndarray:
+def _clean_transition(table) -> np.ndarray:
     arr = np.asarray(table, dtype=float)
-    expected_ndim = n_input_axes + 2
-    if arr.ndim != expected_ndim:
+    if arr.ndim != 4:
         raise ValidationError(
-            f"{what} must have {expected_ndim} axes (inputs then y then z), got shape {arr.shape}"
+            f"transition must have 4 axes (inputs then y then z), got shape {arr.shape}"
         )
-    arr = check_mass(arr, what, sum_axes=(-2, -1), atol=ROW_SUM_ATOL)
+    arr = check_mass(arr, "transition", sum_axes=(-2, -1), atol=ROW_SUM_ATOL)
     arr = arr / arr.sum(axis=(-2, -1), keepdims=True)
     arr.flags.writeable = False
     return arr
@@ -45,9 +47,7 @@ class MacWiretapKernel:
     transition: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "transition", _clean_transition(self.transition, 2, "transition")
-        )
+        object.__setattr__(self, "transition", _clean_transition(self.transition))
 
     @property
     def x1_size(self) -> int:
@@ -66,28 +66,21 @@ class MacWiretapKernel:
         return self.transition.shape[3]
 
 
-@dataclass(frozen=True)
-class WiretapKernel:
-    """Single-transmitter wiretap law P(y, z | x), shape (|X|, |Y|, |Z|)."""
+class WiretapKernel(MacWiretapKernel):
+    """Single-transmitter wiretap law P(y, z | x): the two-user kernel
+    whose second transmitter has a one-letter alphabet.
 
-    transition: np.ndarray
+    ``WiretapKernel(t)`` takes a table of shape (|X|, |Y|, |Z|) and holds it
+    as ``transition`` of shape (|X|, 1, |Y|, |Z|), so its sizes are
+    ``x1_size``, ``y_size`` and ``z_size``, and every two-user function
+    takes it as it is.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "transition", _clean_transition(self.transition, 1, "transition")
-        )
-
-    @property
-    def x_size(self) -> int:
-        return self.transition.shape[0]
-
-    @property
-    def y_size(self) -> int:
-        return self.transition.shape[1]
-
-    @property
-    def z_size(self) -> int:
-        return self.transition.shape[2]
+    def __init__(self, transition):
+        table = np.asarray(transition, dtype=float)
+        if table.ndim != 3:
+            raise ValidationError(f"transition must have 3 axes (x, y, z), got shape {table.shape}")
+        super().__init__(table[:, None])
 
 
 @dataclass(frozen=True)

@@ -40,11 +40,13 @@ inner bound kinds and their sum-rate formulas come from the table
 ``regions.SUM_CAPS``, the one place they are written: a kind's formula
 scores all lanes of a batch at once on the quantity arrays, and
 :func:`region_for_input` caps the same formula on one law's quantities.  The
-single-user rates are not separate formulas: they are the two-user sum caps
-of a kernel whose second transmitter has a one-letter alphabet and whose
-auxiliary is constant, so Wyner's I(X;Y) - I(X;Z) is the decode-and-forward
-cap and the feedback-key rate min{I(X;Y), I(X;Y) - I(X;Z) + H(Y|X,Z)} is the
-hybrid cap.
+single-user rates are not separate formulas: a ``WiretapKernel`` is the
+two-user kernel whose second transmitter has a one-letter alphabet, and the
+rates are its two-user sum caps with a constant auxiliary, so Wyner's
+I(X;Y) - I(X;Z) is the decode-and-forward cap and the feedback-key rate
+min{I(X;Y), I(X;Y) - I(X;Z) + H(Y|X,Z)} is the hybrid cap.  The two-user
+functions (``info_quantities``, :func:`sato_outer_for_joint`,
+:func:`search_outer`) take a ``WiretapKernel`` as it is.
 """
 
 from __future__ import annotations
@@ -355,18 +357,17 @@ def _scores(sum_cap: Callable, ids: np.ndarray, quantities: tuple[np.ndarray, ..
 
 
 def _single_user_search(kernel: WiretapKernel, config: SearchConfig, sum_cap: Callable) -> float:
-    # The single transmitter is X1 of a two-user kernel whose X2 alphabet
-    # has one letter; the auxiliary is constant.  One stream, so every id
-    # is 0 and every lane scores the sum cap.
-    w = kernel.transition[:, None]
+    # The single transmitter is X1 of the kernel, whose X2 alphabet has one
+    # letter; the auxiliary is constant.  One stream, so every id is 0 and
+    # every lane scores the sum cap.
+    if kernel.x2_size != 1:  # einsum would broadcast the one-letter X2 law over it
+        raise ValidationError(f"a single-user kernel has a one-letter X2, got {kernel.x2_size} letters")
 
     def objective(ids: np.ndarray, x: np.ndarray) -> np.ndarray:
         ones = np.ones((len(x), 1))
-        return _scores(sum_cap, ids, _factorized_quantities(w, ones, x, ones[:, :, None]))
+        return _scores(sum_cap, ids, _factorized_quantities(kernel.transition, ones, x, ones[:, :, None]))
 
-    ((best, _),) = _best_of_restarts(
-        [(1, kernel.x_size)], [(_SINGLE_STREAM,)], objective, config
-    )
+    ((best, _),) = _best_of_restarts([(1, kernel.x1_size)], [(_SINGLE_STREAM,)], objective, config)
     return best
 
 

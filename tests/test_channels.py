@@ -19,7 +19,7 @@ from macwtfb.channels import (
     load_channel,
     parse_channel,
 )
-from macwtfb.gaussian import GaussianMacWt
+from macwtfb.gaussian import GaussianMacWt, gaussian_diff_entropy
 
 from oracles import uniform_factorization
 
@@ -144,6 +144,35 @@ def test_degraded_kernel_splits_h_y_given_z(u, x1, x2, y, eavesdropper, seed):
     assert abs(q.c - q.d + q.e - q.h_y_given_z) <= 1e-12
 
 
+def _binned_gaussian(mean, sigma, width):
+    """Bin masses of N(mean, sigma^2) at ``width`` over +-(2 + 8 sigma); the
+    end bins hold the tails."""
+    half = 2 + 8 * sigma
+    edges = [-half + k * width for k in range(1, math.ceil(2 * half / width))]
+    cdf = [0.5 * (1 + math.erf((t - mean) / (sigma * math.sqrt(2)))) for t in edges]
+    return np.diff([0.0, *cdf, 1.0])
+
+
+def test_binned_gaussian_kernel_approaches_the_gaussian_model():
+    # BPSK inputs +-1 per user through Y = X1 + X2 + N1 and Z = X1 + X2 + N2
+    # at (sigma1^2, sigma2^2) = (1, 10), both outputs binned at width w.  Y and
+    # Z are independent given the inputs, so e is the entropy of binned N1,
+    # which tends to h(N1) - log2 w from above, the gap shrinking about
+    # fourfold per halving; a, c and d settle.
+    inputs = InputFactorization([1.0], [[0.5, 0.5]], [[0.5, 0.5]])
+    means = [x1 + x2 for x1 in (-1, 1) for x2 in (-1, 1)]
+    gaps, found = [], []
+    for width in (1, 0.5, 0.25, 0.125):
+        y = np.reshape([_binned_gaussian(m, 1.0, width) for m in means], (2, 2, -1))
+        z = np.reshape([_binned_gaussian(m, math.sqrt(10), width) for m in means], (2, 2, -1))
+        q = info_quantities(MacWiretapKernel(np.einsum("aby,abz->abyz", y, z)), inputs)
+        gaps.append(q.e - (gaussian_diff_entropy(1.0) - math.log2(width)))
+        found.append((q.a, q.c, q.d))
+    assert all(0.0 < gap < 0.3 * previous for previous, gap in zip([math.inf, *gaps], gaps))
+    assert gaps[-1] < 0.002
+    assert all(abs(fine - coarse) < 0.002 for coarse, fine in zip(*found[-2:]))
+
+
 def test_assemble_joint_matches_hand_product():
     kernel = random_kernel((2, 2, 2, 2), seed=8)
     fact = random_factorization(2, 2, 2, seed=9)
@@ -203,7 +232,11 @@ def test_wiretap_kernel():
     t[0, 0, 0] = t[0, 0, 1] = 0.5
     t[1, 1, 0] = t[1, 1, 1] = 0.5
     k = WiretapKernel(t)
-    assert (k.x_size, k.y_size, k.z_size) == (2, 2, 2)
+    assert isinstance(k, MacWiretapKernel)
+    assert (k.x1_size, k.x2_size, k.y_size, k.z_size) == (2, 1, 2, 2)
+    assert k.transition.tobytes() == MacWiretapKernel(t[:, None]).transition.tobytes()
+    with pytest.raises(ValidationError, match=r"transition must have 3 axes \(x, y, z\), got shape \(2, 1, 2, 2\)"):
+        WiretapKernel(t[:, None])
 
 
 def test_gaussian_model_validation():

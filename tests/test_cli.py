@@ -332,6 +332,15 @@ def test_powersweep_negative_zero_pmax_writes_the_zero_pmax_file(tmp_path):
     assert (tmp_path / "-0" / "powersweep.json").read_bytes() == (tmp_path / "0" / "powersweep.json").read_bytes()
 
 
+def test_powersweep_negative_zero_exponent_pmax_as_one_word_writes_the_zero_pmax_file(tmp_path):
+    # argparse reads a separate word "-0e0" as an option, so such a value
+    # goes as --flag=VALUE
+    flags = ["--steps", "2", "--sigma1sq", "5", "--sigma2sq", "2", "--format", "json"]
+    assert main(["powersweep", "--pmax=-0e0", *flags, "--output-dir", str(tmp_path / "neg")]) == EXIT_OK
+    assert main(["powersweep", "--pmax", "0", *flags, "--output-dir", str(tmp_path / "zero")]) == EXIT_OK
+    assert (tmp_path / "neg" / "powersweep.json").read_bytes() == (tmp_path / "zero" / "powersweep.json").read_bytes()
+
+
 # --- figure ---------------------------------------------------------------------
 
 

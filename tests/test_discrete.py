@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from macwtfb import ValidationError, cli
 from macwtfb.channels import (
     InfoQuantities,
+    InputFactorization,
     MacWiretapKernel,
     WiretapKernel,
     info_quantities,
@@ -195,6 +196,39 @@ def test_outer_objective_is_midpoint_concave_in_the_joint_input(n1, n2, ny, nz, 
     p, q = rng.dirichlet(np.ones(n1 * n2), size=2).reshape(2, n1, n2)
     midpoint = sato_outer_for_joint(k, (p + q) / 2)
     assert midpoint >= (sato_outer_for_joint(k, p) + sato_outer_for_joint(k, q)) / 2 - 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_inner_sum_caps_lie_below_the_outer_terms(u_size, n1, n2, ny, nz, sparse, seed):
+    # Per input law every inner sum cap is at most min(c, a + b) <= c, and at
+    # most c - d + e <= H(Y|Z), since I(Y;Z) <= I(X1,X2;Z) + I(Y;Z|X1,X2).
+    rng = np.random.default_rng(seed)
+    k = MacWiretapKernel(_sparse_laws(rng, n1, n2, ny * nz, sparse).reshape(n1, n2, ny, nz))
+    q = info_quantities(k, _random_factorization(rng, u_size, n1, n2))
+    for sum_cap in SUM_CAPS.values():
+        assert sum_cap(q.a, q.b, q.c, q.d, q.e) <= min(q.c, q.h_y_given_z) + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_single_user_feedback_cap_lies_below_the_outer(nx, ny, nz, sparse, seed):
+    # A single-user kernel is a two-user one with a one-letter X2, so the
+    # two-user functions take it as it is: at every law on X the feedback-key
+    # cap lies below H(Y|Z), as in Ahlswede & Cai's min{I(X;Y), H(Y|Z)}.
+    rng = np.random.default_rng(seed)
+    k = WiretapKernel(_sparse_laws(rng, 1, nx, ny * nz, sparse)[0].reshape(nx, ny, nz))
+    p = _sparse_laws(rng, 1, 1, nx, sparse)[0, 0]
+    q = info_quantities(k, InputFactorization([1.0], p[None], [[1.0]]))
+    assert _hybrid_sum(q.a, q.b, q.c, q.d, q.e) <= sato_outer_for_joint(k, p[:, None]) + 1e-12
 
 
 def test_outer_rejects_mismatched_input():
@@ -659,6 +693,16 @@ def test_feedback_dominates_wyner():
     assert feedback_secrecy_capacity(k, FAST) >= wyner_capacity(k, FAST) - 1e-12
 
 
+def test_single_user_rates_refuse_a_second_input():
+    # A two-user kernel whose X2 has one letter is a single-user kernel; one
+    # with more letters is refused rather than scored as if X2 were silent.
+    k = flip_eavesdropper_kernel()
+    assert wyner_capacity(MacWiretapKernel(k.transition), FAST) == wyner_capacity(k, FAST) > 0.0
+    for rate in (wyner_capacity, feedback_secrecy_capacity):
+        with pytest.raises(ValidationError, match="one-letter X2, got 2 letters"):
+            rate(MacWiretapKernel(np.full((2, 2, 2, 2), 0.25)), FAST)
+
+
 # --- fast path pinned to the reference ---------------------------------------------------
 
 def test_fast_quantities_match_reference():
@@ -696,8 +740,8 @@ def test_single_user_embedding_matches_generic_quantities(nx, ny, nz, seed):
     if nx > 1 and rng.random() < 0.3:  # exercise an unused input letter
         p[0] = 0.0
         p /= p.sum()
-    got = _factorized_quantities(w[:, None], np.ones((1, 1)), p[None, None, :], np.ones((1, 1, 1)))
-    joint = JointDist(p[:, None, None] * w)  # axes X, Y, Z
+    got = _factorized_quantities(w, np.ones((1, 1)), p[None, None, :], np.ones((1, 1, 1)))
+    joint = JointDist(p[:, None, None] * w[:, 0])  # axes X, Y, Z
     i_xy = mutual_information(joint, [0], [1])
     want = (
         i_xy,
@@ -828,8 +872,6 @@ def test_batched_entropies_are_bit_equal_to_the_scalar_ones(widths, lanes, zero_
 
 
 def _random_factorization(rng, u_size, n1, n2):
-    from macwtfb.channels import InputFactorization
-
     u = rng.dirichlet(np.ones(u_size))
     x1 = rng.dirichlet(np.ones(n1), size=u_size)
     x2 = rng.dirichlet(np.ones(n2), size=u_size)
